@@ -36,10 +36,11 @@ build:
 	$(GO) build ./...
 
 # Race slice: the concurrent subsystems — the decode cache and parallel
-# stack walker (gctab, gc), the generational collector that walks
-# through them (gengc), and the telemetry tracer they all feed.
+# stack walker (gctab, gc), the mark bitmap the trace workers race on
+# (heap), the generational collector that walks through them (gengc),
+# and the telemetry tracer they all feed.
 race:
-	$(GO) test -race ./internal/telemetry/... ./internal/gc/... ./internal/gctab/... ./internal/gengc/...
+	$(GO) test -race ./internal/telemetry/... ./internal/heap/... ./internal/gc/... ./internal/gctab/... ./internal/gengc/...
 
 test-all:
 	$(GO) test ./...

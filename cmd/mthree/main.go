@@ -124,7 +124,7 @@ func main() {
 		if *gcstats {
 			fmt.Fprintf(os.Stderr, "gc: %d collections, %d frames traced, %d words copied, trace %v, total %v\n",
 				col.Collections, col.FramesTraced, col.WordsCopied, col.StackTraceTime, col.TotalTime)
-			fmt.Fprintf(os.Stderr, "gc: phases mark %v, assign %v, copy %v, fixup %v (%d steals)\n",
+			fmt.Fprintf(os.Stderr, "gc: phases mark %v, assign %v, copy %v, fixup %v (%d chunks shared)\n",
 				col.MarkTime, col.AssignTime, col.CopyTime, col.FixupTime, col.Steals)
 		}
 		if runErr != nil {

@@ -54,10 +54,9 @@ const concParallelThreshold = 128
 
 // concCycle is the state of one in-flight concurrent mark cycle.
 type concCycle struct {
-	// gray holds claimed-but-unscanned objects; marked accumulates
-	// every claimed object (the final copy plan's input).
-	gray   []int64
-	marked []int64
+	// gray holds claimed-but-unscanned objects. The claimed set itself
+	// (the final copy plan's input) lives only in Collector.marks.
+	gray []int64
 	// satb buffers barrier-logged old values between mark steps. Each
 	// entry was already claimed when logged (claim-on-log bounds the
 	// buffer by the object count), so folding it into gray just
@@ -138,8 +137,7 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	cyc := &concCycle{}
 	for _, p := range CollectRoots(m, frames) {
 		v := *p
-		if v != 0 && h.Contains(v) && c.marks.Claim(v) {
-			cyc.marked = append(cyc.marked, v)
+		if v != 0 && h.Contains(v) && c.marks.ClaimSerial(v) {
 			cyc.gray = append(cyc.gray, v)
 		}
 	}
@@ -168,9 +166,8 @@ func (c *Collector) satbRecord(old int64) {
 	if cyc == nil || old == 0 {
 		return
 	}
-	if c.Heap.Contains(old) && c.marks.Claim(old) {
+	if c.Heap.Contains(old) && c.marks.ClaimSerial(old) {
 		c.SATBLogged++
-		cyc.marked = append(cyc.marked, old)
 		cyc.satb = append(cyc.satb, old)
 	}
 }
@@ -180,12 +177,8 @@ func (c *Collector) satbRecord(old int64) {
 // this cycle, never scanned. Their pointer fields start NIL and every
 // later pointer store into them is barriered, so nothing is missed.
 func (c *Collector) blackAlloc(addr int64) {
-	cyc := c.cyc
-	if cyc == nil {
-		return
-	}
-	if c.marks.Claim(addr) {
-		cyc.marked = append(cyc.marked, addr)
+	if c.cyc != nil {
+		c.marks.ClaimSerial(addr)
 	}
 }
 
@@ -248,10 +241,7 @@ func (c *Collector) MarkStep(m *vmachine.Machine) (bool, error) {
 // are merged afterwards.
 func (c *Collector) scanBatch(batch []int64) {
 	h := c.Heap
-	workers := c.TraceWorkers
-	if workers <= 0 {
-		workers = DefaultTraceWorkers
-	}
+	workers := poolWidth(c.TraceWorkers, DefaultTraceWorkers)
 	if workers > len(batch)/concParallelThreshold {
 		workers = len(batch) / concParallelThreshold
 	}
@@ -261,8 +251,7 @@ func (c *Collector) scanBatch(batch []int64) {
 			offs = h.PointerOffsets(a, offs[:0])
 			for _, off := range offs {
 				v := h.Mem[a+off]
-				if v != 0 && h.Contains(v) && c.marks.Claim(v) {
-					c.cyc.marked = append(c.cyc.marked, v)
+				if v != 0 && h.Contains(v) && c.marks.ClaimSerial(v) {
 					c.cyc.gray = append(c.cyc.gray, v)
 				}
 			}
@@ -299,7 +288,6 @@ func (c *Collector) scanBatch(batch []int64) {
 	}
 	wg.Wait()
 	for _, mine := range found {
-		c.cyc.marked = append(c.cyc.marked, mine...)
 		c.cyc.gray = append(c.cyc.gray, mine...)
 	}
 }
@@ -368,7 +356,7 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 		ToBase:     h.BeginCollection(),
 		Marks:      c.marks,
 	}
-	st, err := FinishCopy([][]int64{cyc.marked}, roots, sp, c.TraceWorkers)
+	st, err := FinishCopy(roots, sp, c.TraceWorkers)
 	if err != nil {
 		return err
 	}

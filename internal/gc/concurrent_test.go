@@ -452,7 +452,9 @@ func median(samples []time.Duration) time.Duration {
 // measured exactly (wall clock around each stop-the-world window);
 // each mode runs several fresh machines and the asserted statistic is
 // the median across rounds of the per-round p99, so a single host
-// scheduling blip cannot flip the comparison in either direction.
+// scheduling blip cannot flip the comparison in either direction, and
+// the two modes alternate round by round, so a host that slows down for
+// a while slows both.
 // Trace workers are serial so the stop-the-world mark is honestly on
 // its pause path. The telemetry histograms (gc.final_pause_ns) are
 // cross-checked for presence, since gcserve's /statz SLO rows read
@@ -462,7 +464,7 @@ func TestConcurrentPauseSLO(t *testing.T) {
 		t.Skip("timing test skipped with -short")
 	}
 	const rounds = 7
-	run := func(concurrent bool) (time.Duration, int) {
+	compile := func(concurrent bool) *driver.Compiled {
 		t.Helper()
 		opts := driver.NewOptions()
 		opts.Multithreaded = true
@@ -472,45 +474,52 @@ func TestConcurrentPauseSLO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var roundP99s []time.Duration
-		samples := 0
-		for i := 0; i < rounds; i++ {
-			tel := telemetry.New(telemetry.Config{})
-			cfg := vmachine.Config{HeapWords: 65536, StackWords: 4096, MaxThreads: 8, Quantum: 53, Tel: tel}
-			var sb strings.Builder
-			cfg.Out = &sb
-			m, col, err := c.NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spawnWorkers(t, c, m, "W1", "W2", "W3")
-			smp := &pauseSampler{Collector: col}
-			m.Collector = smp
-			if err := m.Run(2_000_000_000); err != nil {
-				t.Fatalf("concurrent=%v: %v (out=%q)", concurrent, err, sb.String())
-			}
-			if sb.String() != sloWant {
-				t.Fatalf("concurrent=%v: output %q, want %q", concurrent, sb.String(), sloWant)
-			}
-			pauses := smp.collect
-			if concurrent {
-				if len(smp.finish) == 0 {
-					t.Fatal("no concurrent cycles ran")
-				}
-				pauses = smp.finish
-			} else if len(pauses) == 0 {
-				t.Fatal("workload did not collect")
-			}
-			roundP99s = append(roundP99s, exactP99(pauses))
-			samples += len(pauses)
-			if snap := tel.Snapshot(); snap.Histograms[telemetry.HistGCFinalPauseNs].Count == 0 {
-				t.Errorf("concurrent=%v: gc.final_pause_ns histogram empty; /statz SLO rows would be blank", concurrent)
-			}
-		}
-		return median(roundP99s), samples
+		return c
 	}
-	stwP99, stwN := run(false)
-	concP99, concN := run(true)
+	// round runs one fresh machine and returns its p99 pause.
+	round := func(c *driver.Compiled, concurrent bool) (time.Duration, int) {
+		t.Helper()
+		tel := telemetry.New(telemetry.Config{})
+		cfg := vmachine.Config{HeapWords: 65536, StackWords: 4096, MaxThreads: 8, Quantum: 53, Tel: tel}
+		var sb strings.Builder
+		cfg.Out = &sb
+		m, col, err := c.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spawnWorkers(t, c, m, "W1", "W2", "W3")
+		smp := &pauseSampler{Collector: col}
+		m.Collector = smp
+		if err := m.Run(2_000_000_000); err != nil {
+			t.Fatalf("concurrent=%v: %v (out=%q)", concurrent, err, sb.String())
+		}
+		if sb.String() != sloWant {
+			t.Fatalf("concurrent=%v: output %q, want %q", concurrent, sb.String(), sloWant)
+		}
+		pauses := smp.collect
+		if concurrent {
+			if len(smp.finish) == 0 {
+				t.Fatal("no concurrent cycles ran")
+			}
+			pauses = smp.finish
+		} else if len(pauses) == 0 {
+			t.Fatal("workload did not collect")
+		}
+		if snap := tel.Snapshot(); snap.Histograms[telemetry.HistGCFinalPauseNs].Count == 0 {
+			t.Errorf("concurrent=%v: gc.final_pause_ns histogram empty; /statz SLO rows would be blank", concurrent)
+		}
+		return exactP99(pauses), len(pauses)
+	}
+	stwProg, concProg := compile(false), compile(true)
+	var stwP99s, concP99s []time.Duration
+	stwN, concN := 0, 0
+	for i := 0; i < rounds; i++ {
+		p, n := round(stwProg, false)
+		stwP99s, stwN = append(stwP99s, p), stwN+n
+		p, n = round(concProg, true)
+		concP99s, concN = append(concP99s, p), concN+n
+	}
+	stwP99, concP99 := median(stwP99s), median(concP99s)
 	t.Logf("median per-round pause p99: stw %v (%d pauses), concurrent final %v (%d pauses)",
 		stwP99, stwN, concP99, concN)
 	if concP99 >= stwP99 {

@@ -52,9 +52,9 @@ func TestSATBRecordClaimsOnce(t *testing.T) {
 	if !c.marks.Marked(a) {
 		t.Fatalf("overwritten value %d not claimed by the SATB hook", a)
 	}
-	if c.SATBLogged != 1 || len(c.cyc.satb) != 1 || len(c.cyc.marked) != 1 {
+	if c.SATBLogged != 1 || len(c.cyc.satb) != 1 || c.marks.Len() != 1 {
 		t.Fatalf("first log: SATBLogged=%d satb=%d marked=%d, want 1/1/1",
-			c.SATBLogged, len(c.cyc.satb), len(c.cyc.marked))
+			c.SATBLogged, len(c.cyc.satb), c.marks.Len())
 	}
 	// Claim-on-log: relogging the same value must not grow the buffer —
 	// that is what bounds it by the object count, not the store count.
@@ -101,8 +101,8 @@ func TestBlackAllocMarksWithoutGraying(t *testing.T) {
 	if len(c.cyc.gray) != 0 || len(c.cyc.satb) != 0 {
 		t.Fatalf("black allocation grayed: gray=%d satb=%d", len(c.cyc.gray), len(c.cyc.satb))
 	}
-	if len(c.cyc.marked) != 1 {
-		t.Fatalf("black allocation not recorded for copy: marked=%d", len(c.cyc.marked))
+	if c.marks.Len() != 1 {
+		t.Fatalf("black allocation not recorded for copy: marked=%d", c.marks.Len())
 	}
 }
 
@@ -119,7 +119,6 @@ func TestMarkStepBoundedAndFoldsSATB(t *testing.T) {
 	c.MarkBudget = 1
 	// Seed the chain head as the initial pause would.
 	c.marks.Claim(c3)
-	c.cyc.marked = append(c.cyc.marked, c3)
 	c.cyc.gray = append(c.cyc.gray, c3)
 	// Mutator overwrites two references mid-mark.
 	c.satbRecord(s1)
@@ -149,7 +148,7 @@ func TestMarkStepBoundedAndFoldsSATB(t *testing.T) {
 			t.Fatalf("object %d unmarked after drain", a)
 		}
 	}
-	if len(c.cyc.marked) != 5 {
-		t.Fatalf("marked list has %d entries, want 5", len(c.cyc.marked))
+	if c.marks.Len() != 5 {
+		t.Fatalf("mark set holds %d objects, want 5", c.marks.Len())
 	}
 }

@@ -41,15 +41,16 @@ type Collector struct {
 	Mode  Mode
 	Debug bool // verify roots and heap invariants
 
-	// WalkWorkers bounds the stack-walk worker pool (0 =
-	// DefaultWalkWorkers, 1 = serial). The walk result is deterministic
-	// at any width.
+	// WalkWorkers bounds the stack-walk worker pool (0 = GOMAXPROCS at
+	// the time of the walk, unless DefaultWalkWorkers overrides it; 1 =
+	// serial). The walk result is deterministic at any width.
 	WalkWorkers int
 
 	// TraceWorkers bounds the collection worker pool that marks,
-	// copies, and patches the heap (trace.go): 0 = DefaultTraceWorkers,
-	// 1 = serial. Placement is canonical (allocation-order assignment),
-	// so the resulting heap is bitwise identical at any width.
+	// copies, and patches the heap (trace.go): 0 = GOMAXPROCS at the
+	// time of the collection, unless DefaultTraceWorkers overrides it; 1
+	// = serial. Placement is canonical (allocation-order assignment), so
+	// the resulting heap is bitwise identical at any width.
 	TraceWorkers int
 
 	// Concurrent enables mostly-concurrent marking (concurrent.go):
@@ -70,7 +71,7 @@ type Collector struct {
 	TotalTime      time.Duration
 	WordsCopied    int64
 	ObjectsCopied  int64
-	Steals         int64 // successful mark-deque steals
+	Steals         int64 // gray chunks taken from the mark pool
 	MarkTime       time.Duration
 	AssignTime     time.Duration
 	CopyTime       time.Duration

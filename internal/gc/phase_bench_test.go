@@ -10,10 +10,10 @@ import (
 
 // benchWorld is a synthetic from-space for phase benchmarks: benchObjs
 // four-word records (header + int + two pointer fields) linked as a
-// binary tree rooted at the first object (log-depth, so the mark
-// frontier widens fast enough for stealing to help) with an extra
-// cross edge per node (duplicate discoveries for the claim bitmap to
-// filter).
+// binary tree rooted at the first object, with an extra cross edge per
+// node: duplicate discoveries for the claim bitmap to filter, and jumps
+// across the tree that pile up enough gray objects for the wider rows
+// to share (a pure tree keeps the stack a few entries deep).
 type benchWorld struct {
 	h     *heap.Heap
 	addrs []int64
@@ -67,47 +67,46 @@ func buildBenchWorld(tb testing.TB) *benchWorld {
 	return w
 }
 
+// mark runs the mark phase over a cleared bitmap and checks it found
+// every object.
+func (w *benchWorld) mark(tb testing.TB, workers int) {
+	w.sp.Marks.Reset(w.sp.SpanLo, w.sp.SpanHi)
+	if _, err := markPhase([]*int64{&w.root}, w.sp, workers); err != nil {
+		tb.Fatal(err)
+	}
+	if n := w.sp.Marks.Len(); n != benchObjs {
+		tb.Fatalf("marked %d objects, want %d", n, benchObjs)
+	}
+}
+
 func benchWidths() []int { return []int{1, 2, 4, 8} }
 
-// BenchmarkMarkPhase times the parallel graph traversal (work-stealing
-// deques + atomic claim bitmap) over the synthetic 20k-object world.
+// BenchmarkMarkPhase times the graph traversal over the synthetic
+// 20k-object world. workers=1 is the serial path — private stack,
+// non-atomic claims, no goroutine — which is also all a small or
+// tree-shaped heap ever runs at any width; the wider rows add the chunk
+// pool, the helpers and the atomic claim bitmap.
 func BenchmarkMarkPhase(b *testing.B) {
 	w := buildBenchWorld(b)
-	roots := []*int64{&w.root}
 	for _, workers := range benchWidths() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(4 * benchObjs * heap.WordBytes)
 			for i := 0; i < b.N; i++ {
-				w.sp.Marks.Reset(w.sp.SpanLo, w.sp.SpanHi)
-				lists, _, err := markPhase(roots, w.sp, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for _, l := range lists {
-					n += len(l)
-				}
-				if n != benchObjs {
-					b.Fatalf("marked %d objects, want %d", n, benchObjs)
-				}
+				w.mark(b, workers)
 			}
 		})
 	}
 }
 
-// BenchmarkAssignPhase times the determinism keystone: concatenating
-// the per-worker marked lists, sorting into allocation order, and
-// laying out to-space by prefix sums. Always serial.
+// BenchmarkAssignPhase times the determinism keystone: sweeping the
+// mark bitmap into allocation order and laying out to-space by prefix
+// sums. Always serial.
 func BenchmarkAssignPhase(b *testing.B) {
 	w := buildBenchWorld(b)
-	w.sp.Marks.Reset(w.sp.SpanLo, w.sp.SpanHi)
-	lists, _, err := markPhase([]*int64{&w.root}, w.sp, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
+	w.mark(b, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan := assignPhase(lists, w.sp)
+		plan := assignPhase(w.sp)
 		if len(plan.from) != benchObjs {
 			b.Fatalf("planned %d objects, want %d", len(plan.from), benchObjs)
 		}
@@ -119,12 +118,8 @@ func BenchmarkAssignPhase(b *testing.B) {
 // iteration restores them off the clock.
 func BenchmarkCopyPhase(b *testing.B) {
 	w := buildBenchWorld(b)
-	w.sp.Marks.Reset(w.sp.SpanLo, w.sp.SpanHi)
-	lists, _, err := markPhase([]*int64{&w.root}, w.sp, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan := assignPhase(lists, w.sp)
+	w.mark(b, 8)
+	plan := assignPhase(w.sp)
 	headers := make([]int64, len(plan.from))
 	for i, a := range plan.from {
 		headers[i] = w.sp.Mem[a]

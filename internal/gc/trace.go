@@ -7,13 +7,20 @@
 // on the *set* of reachable objects, never on the order they were
 // found:
 //
-//	mark    parallel graph traversal over per-worker work-stealing
-//	        deques of gray objects; an atomic bitmap (heap.MarkSet)
-//	        ensures each object is claimed exactly once
-//	assign  the marked addresses are sorted ascending (= allocation
-//	        order) and prefix sums of their sizes assign each object
-//	        the exact to-space address a serial allocation-order
-//	        compaction would choose
+//	mark    graph traversal from the roots; the claim bitmap
+//	        (heap.MarkSet) is the only record of what was found. It
+//	        starts on the caller's goroutine with a private gray stack
+//	        and non-atomic claims, and most collections end there. Only
+//	        when the stack outgrows two chunks does the worker publish
+//	        its oldest chunk to a shared pool and start helpers, each
+//	        with a private stack of its own; from then on claims are
+//	        atomic, a worker publishes when it has surplus and the pool
+//	        is empty, idle workers take whole chunks, and marking ends
+//	        when every worker is idle and the pool is empty
+//	assign  the bitmap is swept in ascending address (= allocation)
+//	        order and prefix sums of the object sizes assign each
+//	        survivor the exact to-space address a serial
+//	        allocation-order compaction would choose
 //	copy    workers copy disjoint address ranges and install
 //	        forwarding words (disjoint objects → no shared writes)
 //	fixup   workers rewrite the pointer fields of their to-space
@@ -30,7 +37,6 @@ package gc
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,11 +44,34 @@ import (
 	"repro/internal/heap"
 )
 
-// DefaultTraceWorkers bounds the collection worker pool when the
-// caller does not pick a width (TraceWorkers <= 0). Mark and copy are
-// CPU/memory-bound, so the machine's parallelism is the natural cap; a
-// var so tests and tools can pin it.
-var DefaultTraceWorkers = runtime.GOMAXPROCS(0)
+// DefaultTraceWorkers, when positive, overrides the width of the
+// collection worker pool for callers that do not pick one
+// (TraceWorkers <= 0). Zero asks the runtime at each collection: mark
+// and copy are CPU/memory-bound, so GOMAXPROCS is the natural cap, and
+// a host may change it after this package is initialised.
+var DefaultTraceWorkers = 0
+
+// poolWidth resolves a worker count: the caller's choice, else the
+// package-level override, else GOMAXPROCS now.
+func poolWidth(workers, override int) int {
+	if workers <= 0 {
+		workers = override
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+const (
+	// markChunk is the unit of gray work that moves between workers.
+	markChunk = 256
+	// minWordsPerWorker is the copy/fixup share below which a second
+	// goroutine does not pay: measured on two cores, 49k words each
+	// (gc.destroy) took as long shared as inline, 228k words each
+	// (BENCH_10's ballast) 20 to 35 % less.
+	minWordsPerWorker = 1 << 16
+)
 
 // CopySpace describes one moving collection to the engine: the
 // from-space being evacuated, the object-layout callbacks, and where
@@ -80,8 +109,9 @@ type CopySpace struct {
 	// but the generational heap funnels nursery + old survivors into
 	// one old semispace, which a large enough live set can overflow.
 	ToLimit int64
-	// Marks, when non-nil, is recycled instead of allocating a bitmap
-	// per collection. It must already be Reset to [SpanLo, SpanHi).
+	// Marks is the set of live objects, covering [SpanLo, SpanHi):
+	// TraceCopy fills it (and allocates one when nil — pass a recycled
+	// set already Reset to the span to avoid that), FinishCopy reads it.
 	Marks *heap.MarkSet
 	// Check, when non-nil, validates every traced pointer value
 	// (roots and fields); a non-nil return aborts the collection.
@@ -94,7 +124,7 @@ type TraceStats struct {
 	Objects int64 // live objects marked and copied
 	Words   int64 // words copied
 	Next    int64 // next free to-space address after the copy
-	Steals  int64 // successful deque steals during mark
+	Steals  int64 // gray chunks workers took from the shared pool during mark
 
 	Mark, Assign, Copy, Fixup time.Duration
 }
@@ -104,50 +134,43 @@ type TraceStats struct {
 // address, copied, and patched. roots are the addresses of the root
 // slots themselves (duplicates and aliases are fine — marking claims
 // each object once and root fixup is idempotent). workers <= 0 means
-// DefaultTraceWorkers; 1 runs every phase inline on the caller's
-// goroutine. The resulting heap image is bitwise identical at any
-// width.
+// the default width (DefaultTraceWorkers); 1 runs every phase inline on
+// the caller's goroutine, and so does any width when the heap offers
+// too little work to share. The resulting heap image is bitwise
+// identical at any width.
 func TraceCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
 	var st TraceStats
-	if workers <= 0 {
-		workers = DefaultTraceWorkers
-	}
-	if workers < 1 {
-		workers = 1
+	workers = poolWidth(workers, DefaultTraceWorkers)
+	if sp.Marks == nil {
+		sp.Marks = heap.NewMarkSet(sp.SpanLo, sp.SpanHi)
 	}
 
 	t0 := time.Now()
-	markedLists, steals, err := markPhase(roots, sp, workers)
+	steals, err := markPhase(roots, sp, workers)
 	st.Mark = time.Since(t0)
 	st.Steals = steals
 	if err != nil {
 		return st, err
 	}
 
-	fin, err := FinishCopy(markedLists, roots, sp, workers)
+	fin, err := FinishCopy(roots, sp, workers)
 	st.Objects, st.Words, st.Next = fin.Objects, fin.Words, fin.Next
 	st.Assign, st.Copy, st.Fixup = fin.Assign, fin.Copy, fin.Fixup
 	return st, err
 }
 
 // FinishCopy runs the deterministic tail of a collection — assign,
-// copy, fixup — over an already-computed marked set. TraceCopy calls it
+// copy, fixup — over the marked set in sp.Marks. TraceCopy calls it
 // after its own mark phase; the concurrent collectors call it directly
-// at the final pause, with markedLists accumulated incrementally while
-// mutators ran. The marked lists may be in any order and split across
-// any number of sublists: assignPhase sorts them, so the layout depends
-// only on the set. Mark/Steals in the returned stats are zero.
-func FinishCopy(markedLists [][]int64, roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
+// at the final pause, with the set claimed incrementally while mutators
+// ran. Mark/Steals in the returned stats are zero.
+func FinishCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
 	var st TraceStats
-	if workers <= 0 {
-		workers = DefaultTraceWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = poolWidth(workers, DefaultTraceWorkers)
 
 	t0 := time.Now()
-	plan := assignPhase(markedLists, sp)
+	plan := assignPhase(sp)
+	defer planPool.Put(plan)
 	st.Assign = time.Since(t0)
 	st.Objects = int64(len(plan.from))
 	st.Words = plan.total
@@ -206,7 +229,7 @@ func FinishCopy(markedLists [][]int64, roots []*int64, sp CopySpace, workers int
 }
 
 // copyPlan is the assign phase's output: the canonical evacuation
-// schedule, sorted by from-space address.
+// schedule, in ascending from-space address order.
 type copyPlan struct {
 	from  []int64
 	size  []int64
@@ -214,24 +237,23 @@ type copyPlan struct {
 	total int64
 }
 
-// assignPhase merges the per-worker marked lists, sorts them into
-// allocation (ascending address) order, and lays survivors out
-// contiguously from ToBase by prefix sums of their sizes. This is the
-// determinism keystone: the layout depends only on the marked set.
-func assignPhase(markedLists [][]int64, sp CopySpace) copyPlan {
-	n := 0
-	for _, l := range markedLists {
-		n += len(l)
+// planPool recycles copy plans between collections: three words per
+// survivor is the engine's one large allocation, and fresh pages cost
+// more than filling them.
+var planPool = sync.Pool{New: func() any { return new(copyPlan) }}
+
+// assignPhase reads the marked set back in allocation (ascending
+// address) order and lays survivors out contiguously from ToBase by
+// prefix sums of their sizes. This is the determinism keystone: the
+// layout depends only on the marked set.
+func assignPhase(sp CopySpace) *copyPlan {
+	n := sp.Marks.Len()
+	plan := planPool.Get().(*copyPlan)
+	if cap(plan.from) < n {
+		plan.from, plan.size, plan.to = make([]int64, 0, n), make([]int64, n), make([]int64, n)
 	}
-	plan := copyPlan{
-		from: make([]int64, 0, n),
-		size: make([]int64, n),
-		to:   make([]int64, n),
-	}
-	for _, l := range markedLists {
-		plan.from = append(plan.from, l...)
-	}
-	slices.Sort(plan.from)
+	plan.from = sp.Marks.AppendTo(plan.from[:0])
+	plan.size, plan.to, plan.total = plan.size[:n], plan.to[:n], 0
 	for i, a := range plan.from {
 		s := sp.SizeOf(a)
 		plan.size[i] = s
@@ -242,17 +264,17 @@ func assignPhase(markedLists [][]int64, sp CopySpace) copyPlan {
 }
 
 // runChunks partitions the plan into at most `workers` contiguous
-// index ranges balanced by copied words and runs fn over them, inline
-// when one worker suffices. The partition is a pure function of the
-// plan, but fn must be order-independent anyway: chunks run
-// concurrently.
-func runChunks(plan copyPlan, workers int, fn func(lo, hi int)) {
+// index ranges balanced by copied words, each at least
+// minWordsPerWorker, and runs fn over them — inline when that leaves
+// one. The partition is a pure function of the plan, but fn must be
+// order-independent anyway: chunks run concurrently.
+func runChunks(plan *copyPlan, workers int, fn func(lo, hi int)) {
 	n := len(plan.from)
 	if n == 0 {
 		return
 	}
-	if workers > n {
-		workers = n
+	if most := int(plan.total / minWordsPerWorker); workers > most {
+		workers = most
 	}
 	if workers <= 1 {
 		fn(0, n)
@@ -275,130 +297,144 @@ func runChunks(plan copyPlan, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// markWorker is one participant in the parallel mark: a mutex-guarded
-// deque of gray objects (owner pushes and pops the young end; thieves
-// take the old half) plus the worker's share of the marked set.
-type markWorker struct {
-	mu     sync.Mutex
-	deque  []int64
-	marked []int64
-	steals int64
-	err    error
-}
-
-func (w *markWorker) push(a int64) {
-	w.mu.Lock()
-	w.deque = append(w.deque, a)
-	w.mu.Unlock()
-}
-
-func (w *markWorker) pop() (int64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.deque)
-	if n == 0 {
-		return 0, false
-	}
-	a := w.deque[n-1]
-	w.deque = w.deque[:n-1]
-	return a, true
-}
-
-// stealHalf moves the older half of w's deque into the thief's.
-func (w *markWorker) stealHalf(thief *markWorker) bool {
-	w.mu.Lock()
-	n := len(w.deque)
-	if n == 0 {
-		w.mu.Unlock()
-		return false
-	}
-	take := (n + 1) / 2
-	stolen := make([]int64, take)
-	copy(stolen, w.deque[:take])
-	w.deque = append(w.deque[:0], w.deque[take:]...)
-	w.mu.Unlock()
-	thief.mu.Lock()
-	thief.deque = append(thief.deque, stolen...)
-	thief.mu.Unlock()
-	return true
-}
-
-// markEngine coordinates the mark workers: pending counts claimed but
-// not yet scanned objects, so all deques are empty exactly when it
-// reaches zero.
-type markEngine struct {
+// marker is one mark phase in flight. Workers keep their gray objects
+// in private stacks; the fields under mu are the one place work changes
+// hands — whole chunks — and a worker touches them only when it has
+// surplus to give or nothing left to do.
+type marker struct {
 	sp      CopySpace
-	marks   *heap.MarkSet
-	workers []*markWorker
-	pending atomic.Int64
+	workers int
+	helpers sync.WaitGroup
+
+	mu     sync.Mutex
+	wake   sync.Cond // on mu: a chunk arrived, or marking is over
+	chunks [][]int64
+	n      atomic.Int32 // len(chunks), for publishers to poll without mu
+	idle   int          // workers blocked in take
+	taken  int64
+	err    error // first Check failure any worker reported
 }
 
-func (e *markEngine) steal(id int) bool {
-	w := e.workers[id]
-	for i := 1; i < len(e.workers); i++ {
-		victim := e.workers[(id+i)%len(e.workers)]
-		if victim.stealHalf(w) {
-			w.steals++
-			return true
+// publish moves the oldest markChunk entries of stack (the ones nearest
+// the roots, so likeliest to head large subgraphs) into the pool and
+// returns the shortened stack. The chunk is a copy — it must not alias
+// a stack its owner keeps appending to — and the youngest entries fill
+// the hole, so the cost does not grow with the stack's depth.
+func (e *marker) publish(stack []int64) []int64 {
+	c := make([]int64, markChunk)
+	copy(c, stack)
+	n := len(stack) - markChunk
+	copy(stack, stack[n:])
+	e.mu.Lock()
+	e.chunks = append(e.chunks, c)
+	e.n.Store(int32(len(e.chunks)))
+	e.mu.Unlock()
+	e.wake.Signal()
+	return stack[:n]
+}
+
+// take blocks until it can return a chunk, or returns nil once every
+// worker is idle with the pool empty: no gray object is left anywhere,
+// since only a working participant can create one.
+func (e *marker) take() []int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.idle++
+	for len(e.chunks) == 0 {
+		if e.idle == e.workers {
+			e.wake.Broadcast()
+			return nil
 		}
+		e.wake.Wait()
 	}
-	return false
+	e.idle--
+	last := len(e.chunks) - 1
+	c := e.chunks[last]
+	e.chunks = e.chunks[:last]
+	e.n.Store(int32(last))
+	e.taken++
+	return c
 }
 
-func (e *markEngine) run(id int) {
-	w := e.workers[id]
+func (e *marker) fail(err error) {
+	e.mu.Lock()
+	if e.err == nil {
+		e.err = err
+	}
+	e.mu.Unlock()
+}
+
+// run drains one worker's private gray stack. The caller of markPhase
+// enters with shared false: it alone is marking, claims need no
+// atomics, and an empty stack means done. The first time its stack
+// outgrows two chunks (and the width allows) it publishes one, starts
+// the helpers and becomes a participant like them: atomic claims, a
+// chunk to the pool whenever it has surplus and the pool is empty, and
+// an empty stack means wait for a chunk or for everyone to be idle.
+func (e *marker) run(stack []int64, shared bool) {
+	sp, marks := e.sp, e.sp.Marks
 	var offs []int64
 	for {
-		a, ok := w.pop()
-		if !ok && len(e.workers) > 1 && e.steal(id) {
-			a, ok = w.pop()
-		}
-		if !ok {
-			if e.pending.Load() == 0 {
+		if len(stack) == 0 {
+			if !shared {
 				return
 			}
-			runtime.Gosched()
-			continue
+			c := e.take()
+			if c == nil {
+				return
+			}
+			stack = append(stack, c...)
 		}
-		offs = e.sp.PtrOffsets(a, offs[:0])
+		if len(stack) > 2*markChunk && e.workers > 1 && e.n.Load() == 0 {
+			stack = e.publish(stack)
+			if !shared {
+				shared = true
+				e.helpers.Add(e.workers - 1)
+				for i := 1; i < e.workers; i++ {
+					go func() {
+						defer e.helpers.Done()
+						e.run(nil, true)
+					}()
+				}
+			}
+		}
+		a := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		offs = sp.PtrOffsets(a, offs[:0])
 		for _, off := range offs {
-			v := e.sp.Mem[a+off]
+			v := sp.Mem[a+off]
 			if v == 0 {
 				continue
 			}
-			if e.sp.Check != nil {
-				if err := e.sp.Check(v); err != nil {
-					if w.err == nil {
-						w.err = err
-					}
+			if sp.Check != nil {
+				if err := sp.Check(v); err != nil {
+					e.fail(err)
 					continue
 				}
 			}
-			if e.sp.InFrom(v) && e.marks.Claim(v) {
-				w.marked = append(w.marked, v)
-				w.push(v)
-				e.pending.Add(1)
+			if !sp.InFrom(v) {
+				continue
+			}
+			claimed := false
+			if shared {
+				claimed = marks.Claim(v)
+			} else {
+				claimed = marks.ClaimSerial(v)
+			}
+			if claimed {
+				stack = append(stack, v)
 			}
 		}
-		e.pending.Add(-1)
 	}
 }
 
-// markPhase computes the live set: root values seed the per-worker
-// deques round-robin, then the workers trace (stealing from each other
-// when their own deque drains) until no gray objects remain anywhere.
-func markPhase(roots []*int64, sp CopySpace, workers int) ([][]int64, int64, error) {
-	marks := sp.Marks
-	if marks == nil {
-		marks = heap.NewMarkSet(sp.SpanLo, sp.SpanHi)
-	}
-	e := &markEngine{sp: sp, marks: marks, workers: make([]*markWorker, workers)}
-	for i := range e.workers {
-		e.workers[i] = &markWorker{}
-	}
-	// Seed: claim the root-reachable objects up front (serially, so a
-	// bad root is reported deterministically) and deal them out.
-	seeded := 0
+// markPhase computes the live set into sp.Marks and returns the number
+// of chunks that changed hands. Roots are claimed serially, so a bad
+// root is reported deterministically.
+func markPhase(roots []*int64, sp CopySpace, workers int) (int64, error) {
+	e := &marker{sp: sp, workers: workers}
+	e.wake.L = &e.mu
+	var stack []int64
 	for _, p := range roots {
 		v := *p
 		if v == 0 {
@@ -406,41 +442,14 @@ func markPhase(roots []*int64, sp CopySpace, workers int) ([][]int64, int64, err
 		}
 		if sp.Check != nil {
 			if err := sp.Check(v); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		}
-		if sp.InFrom(v) && marks.Claim(v) {
-			w := e.workers[seeded%workers]
-			w.deque = append(w.deque, v)
-			w.marked = append(w.marked, v)
-			seeded++
+		if sp.InFrom(v) && sp.Marks.ClaimSerial(v) {
+			stack = append(stack, v)
 		}
 	}
-	e.pending.Store(int64(seeded))
-
-	if workers <= 1 {
-		e.run(0)
-	} else {
-		var wg sync.WaitGroup
-		for id := 0; id < workers; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				e.run(id)
-			}(id)
-		}
-		wg.Wait()
-	}
-
-	lists := make([][]int64, workers)
-	var steals int64
-	var firstErr error
-	for i, w := range e.workers {
-		lists[i] = w.marked
-		steals += w.steals
-		if firstErr == nil && w.err != nil {
-			firstErr = w.err
-		}
-	}
-	return lists, steals, firstErr
+	e.run(stack, false)
+	e.helpers.Wait()
+	return e.taken, e.err
 }

@@ -2,7 +2,6 @@ package gc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -30,11 +29,13 @@ type Frame struct {
 	variant []int
 }
 
-// DefaultWalkWorkers bounds the stack-walk worker pool when the caller
-// does not pick a width (WalkMachine, or WalkMachineN with workers <=
-// 0). Walking is CPU-bound table decoding, so the machine's parallelism
-// is the natural cap; a var so tests and tools can pin it.
-var DefaultWalkWorkers = runtime.GOMAXPROCS(0)
+// DefaultWalkWorkers, when positive, overrides the width of the
+// stack-walk worker pool for callers that do not pick one (WalkMachine,
+// or WalkMachineN with workers <= 0). Zero asks the runtime at each
+// walk: walking is CPU-bound table decoding, so GOMAXPROCS is the
+// natural cap, and a host may change it after this package is
+// initialised.
+var DefaultWalkWorkers = 0
 
 // WalkMachine walks every live thread's stack, innermost frame first,
 // reconstructing per-frame register files from the callee-save maps.
@@ -60,10 +61,7 @@ func WalkMachineN(m *vmachine.Machine, dec gctab.TableDecoder, workers int) ([]*
 		}
 		live = append(live, t)
 	}
-	if workers <= 0 {
-		workers = DefaultWalkWorkers
-	}
-	if workers > len(live) {
+	if workers = poolWidth(workers, DefaultWalkWorkers); workers > len(live) {
 		workers = len(live)
 	}
 	if workers <= 1 {
@@ -168,7 +166,7 @@ func threadGroups(frames []*Frame) [][]*Frame {
 }
 
 // AdjustDerivedN is AdjustDerived batched per thread over a worker
-// pool of the given width (<= 0 means DefaultTraceWorkers, 1 is the
+// pool of the given width (<= 0 means the TraceCopy default, 1 is the
 // serial protocol). The §3 ordering constraint — callee frames before
 // callers, derived values before their bases — only binds within a
 // thread, because frames of different threads share no storage; each
@@ -176,10 +174,7 @@ func threadGroups(frames []*Frame) [][]*Frame {
 // result is identical at any width.
 func AdjustDerivedN(m *vmachine.Machine, frames []*Frame, workers int) error {
 	groups := threadGroups(frames)
-	if workers <= 0 {
-		workers = DefaultTraceWorkers
-	}
-	if workers > len(groups) {
+	if workers = poolWidth(workers, DefaultTraceWorkers); workers > len(groups) {
 		workers = len(groups)
 	}
 	if workers <= 1 {
@@ -214,10 +209,7 @@ func AdjustDerivedN(m *vmachine.Machine, frames []*Frame, workers int) error {
 // shape as AdjustDerivedN.
 func RederiveAllN(m *vmachine.Machine, frames []*Frame, workers int) {
 	groups := threadGroups(frames)
-	if workers <= 0 {
-		workers = DefaultTraceWorkers
-	}
-	if workers > len(groups) {
+	if workers = poolWidth(workers, DefaultTraceWorkers); workers > len(groups) {
 		workers = len(groups)
 	}
 	if workers <= 1 {

@@ -35,9 +35,8 @@ import (
 
 // concCycle is the state of one in-flight concurrent major cycle.
 type concCycle struct {
-	gray   []int64
-	marked []int64
-	satb   []int64
+	gray []int64
+	satb []int64
 }
 
 // ShouldStartCycle implements vmachine.ConcurrentCollector: only the
@@ -92,8 +91,7 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	cyc := &concCycle{}
 	for _, p := range c.rootsWithRemset(m, frames) {
 		v := *p
-		if v != 0 && h.Contains(v) && c.marks.Claim(v) {
-			cyc.marked = append(cyc.marked, v)
+		if v != 0 && h.Contains(v) && c.marks.ClaimSerial(v) {
 			cyc.gray = append(cyc.gray, v)
 		}
 	}
@@ -117,9 +115,8 @@ func (c *Collector) satbRecord(old int64) {
 	if cyc == nil || old == 0 {
 		return
 	}
-	if c.Heap.Contains(old) && c.marks.Claim(old) {
+	if c.Heap.Contains(old) && c.marks.ClaimSerial(old) {
 		c.SATBLogged++
-		cyc.marked = append(cyc.marked, old)
 		cyc.satb = append(cyc.satb, old)
 	}
 }
@@ -128,12 +125,8 @@ func (c *Collector) satbRecord(old int64) {
 // and pretenured old allocations alike — black, so they survive the
 // flip without being scanned.
 func (c *Collector) blackAlloc(addr int64) {
-	cyc := c.cyc
-	if cyc == nil {
-		return
-	}
-	if c.marks.Claim(addr) {
-		cyc.marked = append(cyc.marked, addr)
+	if c.cyc != nil {
+		c.marks.ClaimSerial(addr)
 	}
 }
 
@@ -192,8 +185,7 @@ func (c *Collector) scanBatch(batch []int64) {
 		offs = h.PointerOffsets(a, offs[:0])
 		for _, off := range offs {
 			v := h.Mem[a+off]
-			if v != 0 && h.Contains(v) && c.marks.Claim(v) {
-				c.cyc.marked = append(c.cyc.marked, v)
+			if v != 0 && h.Contains(v) && c.marks.ClaimSerial(v) {
 				c.cyc.gray = append(c.cyc.gray, v)
 			}
 		}
@@ -262,7 +254,7 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 		ToLimit:    h.oldTo + h.oldSemi,
 		Marks:      c.marks,
 	}
-	st, err := gc.FinishCopy([][]int64{cyc.marked}, roots, sp, c.TraceWorkers)
+	st, err := gc.FinishCopy(roots, sp, c.TraceWorkers)
 	if err != nil {
 		return err
 	}

@@ -198,14 +198,14 @@ type Collector struct {
 	Dec   gctab.TableDecoder
 	Debug bool
 
-	// WalkWorkers bounds the stack-walk worker pool (0 =
-	// gc.DefaultWalkWorkers, 1 = serial).
+	// WalkWorkers bounds the stack-walk worker pool (0 = the gc
+	// package's default, 1 = serial).
 	WalkWorkers int
 
 	// TraceWorkers bounds the parallel trace-copy pool used by both
-	// minor (promotion) and major (old-space copy) collections (0 =
-	// gc.DefaultTraceWorkers, 1 = serial). Placement is canonical, so
-	// the heap is bitwise identical at any width.
+	// minor (promotion) and major (old-space copy) collections (0 = the
+	// gc package's default, 1 = serial). Placement is canonical, so the
+	// heap is bitwise identical at any width.
 	TraceWorkers int
 
 	// Concurrent enables mostly-concurrent marking for major cycles

@@ -14,6 +14,7 @@ package heap
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/types"
@@ -247,10 +248,14 @@ func (h *Heap) AddCopied(n int64) { h.copiedObjects += n }
 // must cover.
 func (h *Heap) FromSpan() (lo, hi int64) { return h.FromLo, h.Alloc }
 
-// MarkSet is a lock-free bitmap of claimed tidy addresses over a word
-// span [lo, hi): parallel mark workers race to Claim reachable objects
-// and exactly one wins each. The zero value is unusable; construct
-// with NewMarkSet and recycle across collections with Reset.
+// MarkSet is a bitmap of claimed tidy addresses over a word span
+// [lo, hi): parallel mark workers race to Claim reachable objects and
+// exactly one wins each; a collection running on one goroutine uses the
+// cheaper ClaimSerial. Because the bitmap is indexed by address, reading
+// it back (Len, AppendTo) yields the claimed set in ascending address —
+// allocation — order, which is what makes the copy plan canonical. The
+// zero value is unusable; construct with NewMarkSet and recycle across
+// collections with Reset.
 type MarkSet struct {
 	lo   int64
 	bits []uint64
@@ -275,9 +280,7 @@ func (s *MarkSet) Reset(lo, hi int64) {
 		s.bits = make([]uint64, n)
 	} else {
 		s.bits = s.bits[:n]
-		for i := range s.bits {
-			s.bits[i] = 0
-		}
+		clear(s.bits)
 	}
 	s.lo = lo
 }
@@ -299,10 +302,44 @@ func (s *MarkSet) Claim(addr int64) bool {
 	}
 }
 
+// ClaimSerial is Claim without the atomics, for a caller that knows no
+// other goroutine is using the set.
+func (s *MarkSet) ClaimSerial(addr int64) bool {
+	i := uint64(addr - s.lo)
+	w := &s.bits[i>>6]
+	mask := uint64(1) << (i & 63)
+	if *w&mask != 0 {
+		return false
+	}
+	*w |= mask
+	return true
+}
+
 // Marked reports whether addr has been claimed.
 func (s *MarkSet) Marked(addr int64) bool {
 	i := uint64(addr - s.lo)
 	return atomic.LoadUint64(&s.bits[i>>6])&(1<<(i&63)) != 0
+}
+
+// Len returns the number of claimed addresses. Like AppendTo it must
+// not race with Claim.
+func (s *MarkSet) Len() int {
+	n := 0
+	for _, w := range s.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// AppendTo appends every claimed address to out in ascending order.
+func (s *MarkSet) AppendTo(out []int64) []int64 {
+	for i, w := range s.bits {
+		base := s.lo + int64(i)<<6
+		for ; w != 0; w &= w - 1 {
+			out = append(out, base+int64(bits.TrailingZeros64(w)))
+		}
+	}
+	return out
 }
 
 // FinishCollection flips semispaces: the copy space (filled up to

@@ -1,6 +1,9 @@
 package heap
 
 import (
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/types"
@@ -300,5 +303,97 @@ func TestQuotaSiblingIsolation(t *testing.T) {
 	}
 	if _, ok := b.TryAlloc(recID, 0); !ok {
 		t.Error("sibling can no longer allocate")
+	}
+}
+
+// TestMarkSetOrderedIteration pins the property the copy plan rests on:
+// reading the bitmap back yields exactly the claimed addresses, each
+// once, ascending — whichever claim flavour set the bit — including in
+// the last, partial bitmap word and after a Reset to a smaller span
+// that leaves stale capacity behind.
+func TestMarkSetOrderedIteration(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewMarkSet(0, 0)
+	for _, span := range [][2]int64{{100, 100 + 64*9 + 5}, {40, 40 + 64 + 3}, {7, 7 + 1}, {7, 7}} {
+		lo, hi := span[0], span[1]
+		s.Reset(lo, hi)
+		if s.Len() != 0 || len(s.AppendTo(nil)) != 0 {
+			t.Fatalf("[%d,%d): Reset left %d addresses claimed", lo, hi, s.Len())
+		}
+		var want []int64
+		claim := func(a int64, serial bool) {
+			first := !slices.Contains(want, a)
+			got := false
+			if serial {
+				got = s.ClaimSerial(a)
+			} else {
+				got = s.Claim(a)
+			}
+			if got != first {
+				t.Fatalf("[%d,%d): claim of %d (serial=%v) returned %v, want %v", lo, hi, a, serial, got, first)
+			}
+			if first {
+				want = append(want, a)
+			}
+		}
+		if hi > lo {
+			claim(hi-1, true) // the last address of the last partial word
+			claim(lo, false)
+			for i := 0; i < int(hi-lo); i++ {
+				claim(lo+rng.Int63n(hi-lo), i%2 == 0)
+			}
+		}
+		slices.Sort(want)
+		if got := s.AppendTo(nil); !slices.Equal(got, want) {
+			t.Fatalf("[%d,%d): AppendTo = %v, want the sorted claims %v", lo, hi, got, want)
+		}
+		if s.Len() != len(want) {
+			t.Fatalf("[%d,%d): Len = %d, want %d", lo, hi, s.Len(), len(want))
+		}
+		for _, a := range want {
+			if !s.Marked(a) {
+				t.Fatalf("[%d,%d): %d claimed but not Marked", lo, hi, a)
+			}
+		}
+		if pre := s.AppendTo([]int64{-1}); len(pre) != len(want)+1 || pre[0] != -1 {
+			t.Fatalf("[%d,%d): AppendTo clobbered its prefix: %v", lo, hi, pre)
+		}
+	}
+}
+
+// TestMarkSetConcurrentClaim: racing workers claim overlapping addresses
+// and exactly one wins each; the set read back is the union.
+func TestMarkSetConcurrentClaim(t *testing.T) {
+	const lo, n, workers = 64, 5000, 4
+	s := NewMarkSet(lo, lo+n)
+	wins := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for a := int64(lo); a < lo+n; a++ {
+				if a%3 != 0 && s.Claim(a) {
+					wins[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	total, want := 0, 0
+	for _, k := range wins {
+		total += k
+	}
+	for a := lo; a < lo+n; a++ {
+		if a%3 != 0 {
+			want++
+		}
+	}
+	got := s.AppendTo(nil)
+	if total != want || s.Len() != want || len(got) != want {
+		t.Fatalf("%d claims won, Len %d, %d read back, want %d each", total, s.Len(), len(got), want)
+	}
+	if !slices.IsSorted(got) {
+		t.Fatal("AppendTo not ascending")
 	}
 }

@@ -15,10 +15,10 @@ import (
 )
 
 // magic identifies mthree object files; the version gates gob schema
-// changes.
+// changes. Version 2 stopped storing Program.IdxOf.
 const (
 	magic   = "MXO1"
-	version = 1
+	version = 2
 )
 
 // header carries compilation facts the runtime needs beyond the
@@ -30,7 +30,9 @@ type header struct {
 }
 
 // Write serializes prog and its tables (enc may be nil when the module
-// was compiled without gc support).
+// was compiled without gc support). Program.IdxOf stays out of the file:
+// it is the inverse of PCOf, and gob writes a map in iteration order,
+// which would make two compiles of one source differ byte for byte.
 func Write(w io.Writer, prog *vmachine.Program, enc *gctab.Encoded, generational bool) error {
 	if _, err := io.WriteString(w, magic); err != nil {
 		return err
@@ -39,7 +41,9 @@ func Write(w io.Writer, prog *vmachine.Program, enc *gctab.Encoded, generational
 	if err := e.Encode(header{Version: version, Generational: generational, HasTables: enc != nil}); err != nil {
 		return fmt.Errorf("objfile: header: %w", err)
 	}
-	if err := e.Encode(prog); err != nil {
+	image := *prog
+	image.IdxOf = nil
+	if err := e.Encode(&image); err != nil {
 		return fmt.Errorf("objfile: program: %w", err)
 	}
 	if enc != nil {
@@ -71,6 +75,13 @@ func Read(r io.Reader) (prog *vmachine.Program, enc *gctab.Encoded, generational
 	prog = new(vmachine.Program)
 	if err = d.Decode(prog); err != nil {
 		return nil, nil, false, fmt.Errorf("objfile: program: %w", err)
+	}
+	if len(prog.PCOf) < len(prog.Code) {
+		return nil, nil, false, fmt.Errorf("objfile: program: %d byte PCs for %d instructions", len(prog.PCOf), len(prog.Code))
+	}
+	prog.IdxOf = make(map[int]int, len(prog.Code))
+	for i := range prog.Code {
+		prog.IdxOf[prog.PCOf[i]] = i
 	}
 	if h.HasTables {
 		enc = new(gctab.Encoded)

@@ -2,9 +2,11 @@ package objfile_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/driver"
 	"repro/internal/vmachine"
 )
@@ -70,6 +72,66 @@ func TestRoundTripRun(t *testing.T) {
 	}
 	if col.Collections == 0 {
 		t.Error("expected collections from the loaded tables")
+	}
+}
+
+// TestObjectBytesReproducible: two compiles of one source give the same
+// object file, byte for byte, and so do two writes of one compile — the
+// image holds no map. The loaded program gets its PC index back: it runs
+// destroy, whose every call, return and branch goes through IdxOf, to
+// the same output and collection count as the program it was written
+// from.
+func TestObjectBytesReproducible(t *testing.T) {
+	destroy := bench.DestroySource(3, 6, 40, 2, 0)
+	var objs [][]byte
+	var first *driver.Compiled
+	for i := 0; i < 2; i++ {
+		c, err := driver.Compile("destroy.m3", destroy, driver.NewOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = c
+		}
+		for j := 0; j < 2; j++ {
+			var buf bytes.Buffer
+			if err := c.WriteObject(&buf); err != nil {
+				t.Fatal(err)
+			}
+			objs = append(objs, buf.Bytes())
+		}
+	}
+	for i, o := range objs[1:] {
+		if !bytes.Equal(o, objs[0]) {
+			t.Fatalf("object %d differs from object 0 (%d vs %d bytes)", i+1, len(o), len(objs[0]))
+		}
+	}
+	loaded, err := driver.LoadObject(bytes.NewReader(objs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Prog.IdxOf, first.Prog.IdxOf) {
+		t.Fatal("IdxOf rebuilt from PCOf differs from the compiler's")
+	}
+	run := func(c *driver.Compiled) (string, int64) {
+		cfg := vmachine.DefaultConfig()
+		cfg.HeapWords = 1 << 15
+		var sb strings.Builder
+		cfg.Out = &sb
+		m, col, err := c.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String(), col.Collections
+	}
+	wantOut, wantGCs := run(first)
+	gotOut, gotGCs := run(loaded)
+	if gotOut != wantOut || gotGCs != wantGCs || wantGCs == 0 {
+		t.Fatalf("loaded destroy: %q after %d collections, compiled: %q after %d",
+			gotOut, gotGCs, wantOut, wantGCs)
 	}
 }
 
