@@ -8,7 +8,7 @@ GO ?= go
 # targets, so the gate costs about twice this.
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet vet-gcverify lint build test race test-all bench-telemetry bench-smoke serve-smoke verify-smoke heaplive-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke diff-smoke cover
+.PHONY: check fmt vet vet-gcverify lint build test race test-all bench-telemetry bench-check bench-smoke serve-smoke verify-smoke heaplive-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke diff-smoke cover
 
 check: fmt vet vet-gcverify lint build race test-all serve-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke
 
@@ -47,6 +47,16 @@ test-all:
 
 bench-telemetry:
 	$(GO) test -bench . -benchmem ./internal/telemetry/
+
+# The repository's benchmark (BENCHMARK.json, benchmark/) is a module of
+# its own, so `go build ./... && go test ./...` never compiles it. It
+# reads the collectors' exported surface (FramesTraced, StackTraceTime,
+# TotalTime, the phase times, SetTracer, ...): this builds it, runs its
+# tests and every workload at smoke size, so a change that breaks that
+# surface fails here rather than when the benchmark is next run.
+bench-check:
+	$(GO) -C benchmark test ./...
+	bash benchmark/run.sh --quick
 
 # Decode-cache and parallel-trace smoke: run the cached-vs-uncached
 # takl comparison and the trace-width comparison (each fails if its

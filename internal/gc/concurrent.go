@@ -62,6 +62,15 @@ type concCycle struct {
 	// buffer by the object count), so folding it into gray just
 	// schedules its fields for scanning.
 	satb []int64
+	// batch is the burst being scanned, copied off gray so scanBatch's
+	// appends to gray can never overwrite an unread entry; offs is the
+	// serial scan's pointer-offsets buffer.
+	batch, offs []int64
+
+	// The machine hooks, bound once per collector (a method value
+	// allocates each time it is taken).
+	satbHook  func(old int64)
+	allocHook func(addr int64)
 }
 
 // ShouldStartCycle implements vmachine.ConcurrentCollector: only full
@@ -115,18 +124,14 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	// The mark bitmap must span the whole from-space quota, not just
 	// the current allocation watermark: black allocations during the
 	// cycle claim addresses past it.
-	if c.marks == nil {
-		c.marks = heap.NewMarkSet(h.FromLo, h.Limit)
-	} else {
-		c.marks.Reset(h.FromLo, h.Limit)
-	}
+	c.marks.Reset(h.FromLo, h.Limit)
 
 	traceStart := time.Now()
-	frames, err := WalkMachineN(m, c.Dec, c.WalkWorkers)
-	if err != nil {
+	if err := c.walk.Machine(m, c.Dec, c.WalkWorkers); err != nil {
 		return err
 	}
-	c.FramesTraced += int64(len(frames))
+	nFrames := int64(c.walk.NumFrames())
+	c.FramesTraced += nFrames
 	walkTime := time.Since(traceStart)
 	c.StackTraceTime += walkTime
 
@@ -134,20 +139,24 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	// reachable-at-start by definition. Roots hold only tidy pointers
 	// or NIL (derived values live in Deriv entries, not the root set),
 	// so the values can be claimed directly without adjustment.
-	cyc := &concCycle{}
-	for _, p := range CollectRoots(m, frames) {
+	cyc := &c.cycle
+	cyc.gray, cyc.satb = cyc.gray[:0], cyc.satb[:0]
+	if cyc.satbHook == nil {
+		cyc.satbHook, cyc.allocHook = c.satbRecord, c.blackAlloc
+	}
+	for _, p := range c.walk.Roots(m, nil) {
 		v := *p
 		if v != 0 && h.Contains(v) && c.marks.ClaimSerial(v) {
 			cyc.gray = append(cyc.gray, v)
 		}
 	}
 	c.cyc = cyc
-	m.SATB = c.satbRecord
-	m.AllocMark = c.blackAlloc
+	m.SATB = cyc.satbHook
+	m.AllocMark = cyc.allocHook
 
 	if c.Tel != nil {
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.mFrames.Add(int64(len(frames)))
+		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
+		c.mFrames.Add(nFrames)
 		c.hWalk.Observe(int64(walkTime))
 		// The initial root scan stalls mutators, so it counts against
 		// the pause distribution.
@@ -213,15 +222,14 @@ func (c *Collector) MarkStep(m *vmachine.Machine) (bool, error) {
 	if n > budget {
 		n = budget
 	}
-	// The batch is carved off the gray stack's tail, and scanBatch
-	// appends discoveries back onto cyc.gray — so the remainder must
-	// not share capacity with the batch, or those appends would
-	// overwrite unread batch entries mid-scan and silently drop their
-	// subtrees. The full slice expression forces append to reallocate.
+	// The batch comes off the gray stack's tail, and scanBatch appends
+	// discoveries back onto cyc.gray — so the batch is copied out
+	// first, or those appends would overwrite unread entries mid-scan
+	// and silently drop their subtrees.
 	keep := len(cyc.gray) - n
-	batch := cyc.gray[keep:]
-	cyc.gray = cyc.gray[:keep:keep]
-	c.scanBatch(batch)
+	cyc.batch = append(cyc.batch[:0], cyc.gray[keep:]...)
+	cyc.gray = cyc.gray[:keep]
+	c.scanBatch(cyc.batch)
 
 	c.ConcMarkTime += time.Since(t0)
 	if c.Tel != nil {
@@ -246,7 +254,7 @@ func (c *Collector) scanBatch(batch []int64) {
 		workers = len(batch) / concParallelThreshold
 	}
 	if workers <= 1 {
-		var offs []int64
+		offs := c.cyc.offs
 		for _, a := range batch {
 			offs = h.PointerOffsets(a, offs[:0])
 			for _, off := range offs {
@@ -256,6 +264,7 @@ func (c *Collector) scanBatch(batch []int64) {
 				}
 			}
 		}
+		c.cyc.offs = offs
 		return
 	}
 	found := make([][]int64, workers)
@@ -317,24 +326,25 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 	for len(cyc.satb) > 0 || len(cyc.gray) > 0 {
 		cyc.gray = append(cyc.gray, cyc.satb...)
 		cyc.satb = cyc.satb[:0]
-		batch := cyc.gray
-		cyc.gray = nil
-		c.scanBatch(batch)
+		// The whole gray stack is the batch; discoveries go to the
+		// other buffer.
+		cyc.batch, cyc.gray = cyc.gray, cyc.batch[:0]
+		c.scanBatch(cyc.batch)
 	}
 
 	traceStart := time.Now()
-	frames, err := WalkMachineN(m, c.Dec, c.WalkWorkers)
-	if err != nil {
+	if err := c.walk.Machine(m, c.Dec, c.WalkWorkers); err != nil {
 		return err
 	}
-	c.FramesTraced += int64(len(frames))
-	if err := AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
+	nFrames := int64(c.walk.NumFrames())
+	c.FramesTraced += nFrames
+	if err := c.walk.AdjustDerived(m, c.TraceWorkers); err != nil {
 		return err
 	}
 	walkTime := time.Since(traceStart)
 	c.StackTraceTime += walkTime
 
-	roots := CollectRoots(m, frames)
+	roots := c.walk.Roots(m, nil)
 	// SATB invariant check: every root value must be marked by now
 	// (reachable-at-start objects were seeded or logged; later
 	// allocations were claimed black). An unmarked root here is a
@@ -345,18 +355,7 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 		}
 	}
 
-	sp := CopySpace{
-		Mem:        h.Mem,
-		SpanLo:     h.FromLo,
-		SpanHi:     h.Limit,
-		InFrom:     h.Contains,
-		SizeOf:     h.SizeOf,
-		PtrOffsets: h.PointerOffsets,
-		Copy:       h.CopyObjectSized,
-		ToBase:     h.BeginCollection(),
-		Marks:      c.marks,
-	}
-	st, err := FinishCopy(roots, sp, c.TraceWorkers)
+	st, err := FinishCopy(roots, c.copySpace(h.FromLo, h.Limit), c.TraceWorkers)
 	if err != nil {
 		return err
 	}
@@ -367,7 +366,7 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 	c.FixupTime += st.Fixup
 	h.AddCopied(st.Objects)
 	h.FinishCollection(st.Next)
-	RederiveAllN(m, frames, c.TraceWorkers)
+	c.walk.RederiveAll(m, c.TraceWorkers)
 
 	m.SATB = nil
 	m.AllocMark = nil
@@ -381,12 +380,12 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 		}
 	}
 	if c.Tel != nil {
-		nDeriv := countDerivs(frames)
+		nDeriv := int64(c.walk.NumDerivs())
 		copiedBytes := st.Words * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, int64(len(frames)), nDeriv, nDeriv)
+		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
+		c.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, nFrames, nDeriv, nDeriv)
 		c.mCollections.Add(1)
-		c.mFrames.Add(int64(len(frames)))
+		c.mFrames.Add(nFrames)
 		c.mCopied.Add(copiedBytes)
 		c.mObjects.Add(st.Objects)
 		c.mAdjusted.Add(nDeriv)

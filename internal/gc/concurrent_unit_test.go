@@ -38,7 +38,7 @@ func allocPair(t *testing.T, h *heap.Heap, n, next int64) int64 {
 // armed returns a collector with an active (hand-armed) cycle over h.
 func armed(h *heap.Heap) *Collector {
 	c := &Collector{Heap: h}
-	c.marks = heap.NewMarkSet(h.FromLo, h.Limit)
+	c.marks.Reset(h.FromLo, h.Limit)
 	c.cyc = &concCycle{}
 	return c
 }
@@ -80,7 +80,7 @@ func TestSATBRecordOffOutsideCycle(t *testing.T) {
 	h := concTestHeap(t)
 	a := allocPair(t, h, 1, 0)
 	c := &Collector{Heap: h}
-	c.marks = heap.NewMarkSet(h.FromLo, h.Limit)
+	c.marks.Reset(h.FromLo, h.Limit)
 	// No cycle armed: the hook must be inert (the machine also nils
 	// m.SATB at FinishCycle; this guards the window either side).
 	c.satbRecord(a)

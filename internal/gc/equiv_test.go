@@ -49,21 +49,17 @@ func fnvWords(ws []int64) uint64 {
 // two runs can be compared collection by collection, not just at exit.
 type equivRecorder struct {
 	real   *gc.Collector
+	walk   gc.Walk
 	frames []string
 	hashes []uint64
 	live   []int64
 }
 
 func (r *equivRecorder) Collect(m *vmachine.Machine) error {
-	frames, err := gc.WalkMachineN(m, r.real.Dec, r.real.WalkWorkers)
-	if err != nil {
+	if err := r.walk.Machine(m, r.real.Dec, r.real.WalkWorkers); err != nil {
 		return err
 	}
-	var b strings.Builder
-	for _, f := range frames {
-		fmt.Fprintf(&b, "%s@%d fp=%d sp=%d;", f.View.ProcName, f.PC, f.FP, f.SP)
-	}
-	r.frames = append(r.frames, b.String())
+	r.frames = append(r.frames, r.walk.String())
 	if err := r.real.Collect(m); err != nil {
 		return err
 	}

@@ -82,12 +82,18 @@ type Collector struct {
 	ConcMarkTime   time.Duration
 	FinalPauseTime time.Duration
 
-	// cyc is the in-flight concurrent cycle, nil outside one.
-	cyc *concCycle
+	// cyc is the in-flight concurrent cycle, nil outside one; cycle is
+	// its recycled storage.
+	cyc   *concCycle
+	cycle concCycle
 
-	// marks is the recycled mark bitmap (one allocation per collector,
-	// not per collection).
-	marks *heap.MarkSet
+	// Per-collector state recycled across collections, so a collection
+	// in steady state allocates nothing: the stack-walk arena, the
+	// engine's description of this heap (with the engine's own scratch),
+	// and the mark bitmap.
+	walk  Walk
+	space CopySpace
+	marks heap.MarkSet
 
 	// Tel, when non-nil, receives per-cycle events and metrics; every
 	// probe below is guarded by a nil check so a collector without
@@ -183,16 +189,6 @@ func curThread(m *vmachine.Machine) int32 {
 	return -1
 }
 
-// countDerivs totals the derivation entries across walked frames — the
-// derived values adjusted in phase 1 and re-derived in phase 2.
-func countDerivs(frames []*Frame) int64 {
-	var n int64
-	for _, f := range frames {
-		n += int64(len(f.View.Derivs))
-	}
-	return n
-}
-
 // Collect implements vmachine.Collector. With Concurrent set, a direct
 // call runs the whole split cycle back-to-back (collectSplit) — the
 // single-threaded inline path, bitwise identical to stop-the-world; the
@@ -224,12 +220,12 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	}
 
 	traceStart := time.Now()
-	frames, err := WalkMachineN(m, c.Dec, c.WalkWorkers)
-	if err != nil {
+	if err := c.walk.Machine(m, c.Dec, c.WalkWorkers); err != nil {
 		return err
 	}
-	c.FramesTraced += int64(len(frames))
-	if err := AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
+	nFrames := int64(c.walk.NumFrames())
+	c.FramesTraced += nFrames
+	if err := c.walk.AdjustDerived(m, c.TraceWorkers); err != nil {
 		return err
 	}
 	walkTime := time.Since(traceStart)
@@ -237,19 +233,20 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 
 	var st TraceStats
 	if c.Mode == ModeFull {
-		if st, err = c.copyLive(m, frames); err != nil {
+		var err error
+		if st, err = c.copyLive(m); err != nil {
 			return err
 		}
 	}
-	RederiveAllN(m, frames, c.TraceWorkers)
+	c.walk.RederiveAll(m, c.TraceWorkers)
 
 	if c.Tel != nil {
-		nDeriv := countDerivs(frames)
+		nDeriv := int64(c.walk.NumDerivs())
 		copiedBytes := st.Words * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, int64(len(frames)), nDeriv, nDeriv)
+		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
+		c.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, nFrames, nDeriv, nDeriv)
 		c.mCollections.Add(1)
-		c.mFrames.Add(int64(len(frames)))
+		c.mFrames.Add(nFrames)
 		c.mCopied.Add(copiedBytes)
 		c.mObjects.Add(st.Objects)
 		c.mSteals.Add(st.Steals)
@@ -278,29 +275,34 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	return nil
 }
 
+// copySpace aims the collector's CopySpace at the from-space span
+// [lo, hi) and the current copy space. The heap callbacks are bound
+// once: a method value allocates each time it is taken.
+func (c *Collector) copySpace(lo, hi int64) *CopySpace {
+	h, sp := c.Heap, &c.space
+	if sp.Mem == nil {
+		sp.Mem = h.Mem
+		sp.InFrom = h.Contains
+		sp.SizeOf = h.SizeOf
+		sp.PtrOffsets = h.PointerOffsets
+		sp.Copy = h.CopyObjectSized
+	}
+	sp.SpanLo, sp.SpanHi = lo, hi
+	sp.ToBase = h.BeginCollection()
+	sp.Marks = &c.marks
+	return sp
+}
+
 // copyLive evacuates every live object through the deterministic
 // trace-copy engine (trace.go): parallel mark over the from-space,
 // canonical allocation-order address assignment, range copy, pointer
 // fixup. Identical at every TraceWorkers width.
-func (c *Collector) copyLive(m *vmachine.Machine, frames []*Frame) (TraceStats, error) {
+func (c *Collector) copyLive(m *vmachine.Machine) (TraceStats, error) {
 	h := c.Heap
 	lo, hi := h.FromSpan()
-	if c.marks == nil {
-		c.marks = heap.NewMarkSet(lo, hi)
-	} else {
-		c.marks.Reset(lo, hi)
-	}
-	sp := CopySpace{
-		Mem:        h.Mem,
-		SpanLo:     lo,
-		SpanHi:     hi,
-		InFrom:     h.Contains,
-		SizeOf:     h.SizeOf,
-		PtrOffsets: h.PointerOffsets,
-		Copy:       h.CopyObjectSized,
-		ToBase:     h.BeginCollection(),
-		Marks:      c.marks,
-	}
+	c.marks.Reset(lo, hi)
+	sp := c.copySpace(lo, hi)
+	sp.Check = nil
 	if c.Debug {
 		sp.Check = func(v int64) error {
 			if !h.Contains(v) {
@@ -309,7 +311,7 @@ func (c *Collector) copyLive(m *vmachine.Machine, frames []*Frame) (TraceStats, 
 			return nil
 		}
 	}
-	st, err := TraceCopy(CollectRoots(m, frames), sp, c.TraceWorkers)
+	st, err := TraceCopy(c.walk.Roots(m, nil), sp, c.TraceWorkers)
 	if err != nil {
 		return st, err
 	}

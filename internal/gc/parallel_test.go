@@ -83,24 +83,36 @@ func startParallel(t *testing.T, c *driver.Compiled) (*vmachine.Machine, *gc.Col
 	return m, col, &sb
 }
 
-func compareFrames(t *testing.T, label string, want, got []*gc.Frame) {
+// compareWalks requires got to hold want's exact threads and frames:
+// same pc/fp/sp, deep-equal tables, and register files that resolve
+// every register to the same word.
+func compareWalks(t *testing.T, m *vmachine.Machine, label string, want, got *gc.Walk) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d frames, serial walk found %d", label, len(got), len(want))
+	if len(got.Threads) != len(want.Threads) {
+		t.Fatalf("%s: %d threads, serial walk found %d", label, len(got.Threads), len(want.Threads))
 	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.PC != w.PC || g.FP != w.FP || g.SP != w.SP {
-			t.Fatalf("%s: frame %d is %s@%d fp=%d sp=%d, serial walk has %s@%d fp=%d sp=%d",
-				label, i, g.View.ProcName, g.PC, g.FP, g.SP, w.View.ProcName, w.PC, w.FP, w.SP)
+	for ti := range want.Threads {
+		wt, gt := &want.Threads[ti], &got.Threads[ti]
+		if gt.T != wt.T || len(gt.Frames) != len(wt.Frames) {
+			t.Fatalf("%s: slab %d is thread %d with %d frames, serial walk has thread %d with %d",
+				label, ti, gt.T.ID, len(gt.Frames), wt.T.ID, len(wt.Frames))
 		}
-		if !reflect.DeepEqual(g.View, w.View) {
-			t.Fatalf("%s: frame %d (%s@%d): decoded view differs from serial walk",
-				label, i, w.View.ProcName, w.PC)
-		}
-		if g.RegAddr != w.RegAddr {
-			t.Fatalf("%s: frame %d (%s@%d): reconstructed register file aliases differ",
-				label, i, w.View.ProcName, w.PC)
+		for i := range wt.Frames {
+			w, g := &wt.Frames[i], &gt.Frames[i]
+			if g.PC != w.PC || g.FP != w.FP || g.SP != w.SP {
+				t.Fatalf("%s: thread %d frame %d is %s@%d fp=%d sp=%d, serial walk has %s@%d fp=%d sp=%d",
+					label, wt.T.ID, i, g.Prog.View.ProcName, g.PC, g.FP, g.SP, w.Prog.View.ProcName, w.PC, w.FP, w.SP)
+			}
+			if !reflect.DeepEqual(g.Prog, w.Prog) {
+				t.Fatalf("%s: thread %d frame %d (%s@%d): frame program differs from serial walk",
+					label, wt.T.ID, i, w.Prog.View.ProcName, w.PC)
+			}
+			for r := 0; r < 16; r++ {
+				if gt.RegPtr(m, g, r) != wt.RegPtr(m, w, r) {
+					t.Fatalf("%s: thread %d frame %d (%s@%d): R%d reconstructed from a different word",
+						label, wt.T.ID, i, w.Prog.View.ProcName, w.PC, r)
+				}
+			}
 		}
 	}
 }
@@ -129,22 +141,20 @@ func (w *walkComparer) Collect(m *vmachine.Machine) error {
 	if live > w.maxLive {
 		w.maxLive = live
 	}
-	serial, err := gc.WalkMachineN(m, w.real.Dec, 1)
-	if err != nil {
+	var serial, par gc.Walk
+	if err := serial.Machine(m, w.real.Dec, 1); err != nil {
 		t.Fatalf("serial walk: %v", err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := gc.WalkMachineN(m, w.real.Dec, workers)
-		if err != nil {
+		if err := par.Machine(m, w.real.Dec, workers); err != nil {
 			t.Fatalf("walk with %d workers: %v", workers, err)
 		}
-		compareFrames(t, fmt.Sprintf("workers=%d", workers), serial, par)
+		compareWalks(t, m, fmt.Sprintf("workers=%d", workers), &serial, &par)
 	}
-	cached, err := gc.WalkMachineN(m, w.cached, 8)
-	if err != nil {
+	if err := par.Machine(m, w.cached, 8); err != nil {
 		t.Fatalf("cached parallel walk: %v", err)
 	}
-	compareFrames(t, "cached workers=8", serial, cached)
+	compareWalks(t, m, "cached workers=8", &serial, &par)
 	return w.real.Collect(m)
 }
 
@@ -152,7 +162,7 @@ func (w *walkComparer) Collect(m *vmachine.Machine) error {
 // contract at live rendezvous states: for every collection of a
 // four-thread run, walks at widths 1, 2, and 8 — and a width-8 walk
 // through a shared CachedDecoder — must produce identical frame lists
-// (same pc/fp/sp, deep-equal decoded views, same reconstructed
+// (same pc/fp/sp, deep-equal frame programs, same reconstructed
 // register aliases) in m.Threads order.
 func TestParallelWalkMatchesSerial(t *testing.T) {
 	opts := driver.NewOptions()
@@ -182,19 +192,15 @@ func TestParallelWalkMatchesSerial(t *testing.T) {
 // whole runs can be compared configuration-against-configuration.
 type frameRecorder struct {
 	real *gc.Collector
+	walk gc.Walk
 	log  []string
 }
 
 func (r *frameRecorder) Collect(m *vmachine.Machine) error {
-	frames, err := gc.WalkMachineN(m, r.real.Dec, r.real.WalkWorkers)
-	if err != nil {
+	if err := r.walk.Machine(m, r.real.Dec, r.real.WalkWorkers); err != nil {
 		return err
 	}
-	var b strings.Builder
-	for _, f := range frames {
-		fmt.Fprintf(&b, "%s@%d fp=%d sp=%d;", f.View.ProcName, f.PC, f.FP, f.SP)
-	}
-	r.log = append(r.log, b.String())
+	r.log = append(r.log, r.walk.String())
 	return r.real.Collect(m)
 }
 

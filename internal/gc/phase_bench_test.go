@@ -71,7 +71,7 @@ func buildBenchWorld(tb testing.TB) *benchWorld {
 // every object.
 func (w *benchWorld) mark(tb testing.TB, workers int) {
 	w.sp.Marks.Reset(w.sp.SpanLo, w.sp.SpanHi)
-	if _, err := markPhase([]*int64{&w.root}, w.sp, workers); err != nil {
+	if _, err := markPhase([]*int64{&w.root}, &w.sp, workers); err != nil {
 		tb.Fatal(err)
 	}
 	if n := w.sp.Marks.Len(); n != benchObjs {
@@ -106,7 +106,7 @@ func BenchmarkAssignPhase(b *testing.B) {
 	w.mark(b, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan := assignPhase(w.sp)
+		plan := assignPhase(&w.sp)
 		if len(plan.from) != benchObjs {
 			b.Fatalf("planned %d objects, want %d", len(plan.from), benchObjs)
 		}
@@ -119,7 +119,7 @@ func BenchmarkAssignPhase(b *testing.B) {
 func BenchmarkCopyPhase(b *testing.B) {
 	w := buildBenchWorld(b)
 	w.mark(b, 8)
-	plan := assignPhase(w.sp)
+	plan := assignPhase(&w.sp)
 	headers := make([]int64, len(plan.from))
 	for i, a := range plan.from {
 		headers[i] = w.sp.Mem[a]
@@ -133,11 +133,7 @@ func BenchmarkCopyPhase(b *testing.B) {
 					w.sp.Mem[a] = headers[j]
 				}
 				b.StartTimer()
-				runChunks(plan, workers, func(lo, hi int) {
-					for k := lo; k < hi; k++ {
-						w.sp.Copy(plan.from[k], plan.to[k], plan.size[k])
-					}
-				})
+				runChunks(&w.sp, workers, (*CopySpace).copyRange)
 			}
 		})
 	}

@@ -63,7 +63,7 @@ func (w *shareWorld) collect(t *testing.T, workers int) (gc.TraceStats, uint64) 
 	for i := range w.roots {
 		slots[i] = &w.roots[i]
 	}
-	st, err := gc.TraceCopy(slots, gc.CopySpace{
+	st, err := gc.TraceCopy(slots, &gc.CopySpace{
 		Mem:        h.Mem,
 		SpanLo:     lo,
 		SpanHi:     hi,

@@ -78,6 +78,11 @@ const (
 // the survivors go. All callbacks must be safe for concurrent readers
 // (they are pure address arithmetic over Mem and the descriptor
 // table).
+//
+// It also carries the engine's scratch — gray stack, copy plan, the
+// marker's hand-off state — so a collector that keeps one CopySpace and
+// only re-aims its spans each cycle collects without allocating. A
+// CopySpace must not be copied once a collection has used it.
 type CopySpace struct {
 	// Mem is the machine memory the spaces live in.
 	Mem []int64
@@ -117,6 +122,11 @@ type CopySpace struct {
 	// (roots and fields); a non-nil return aborts the collection.
 	// Non-from-space values that pass Check are simply not traced.
 	Check func(v int64) error
+
+	mark   marker
+	gray   markWorker // the calling goroutine's; helpers bring their own
+	plan   copyPlan
+	fixErr atomic.Pointer[error]
 }
 
 // TraceStats reports what one engine run did, phase by phase.
@@ -138,7 +148,7 @@ type TraceStats struct {
 // the caller's goroutine, and so does any width when the heap offers
 // too little work to share. The resulting heap image is bitwise
 // identical at any width.
-func TraceCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
+func TraceCopy(roots []*int64, sp *CopySpace, workers int) (TraceStats, error) {
 	var st TraceStats
 	workers = poolWidth(workers, DefaultTraceWorkers)
 	if sp.Marks == nil {
@@ -164,13 +174,12 @@ func TraceCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
 // after its own mark phase; the concurrent collectors call it directly
 // at the final pause, with the set claimed incrementally while mutators
 // ran. Mark/Steals in the returned stats are zero.
-func FinishCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
+func FinishCopy(roots []*int64, sp *CopySpace, workers int) (TraceStats, error) {
 	var st TraceStats
 	workers = poolWidth(workers, DefaultTraceWorkers)
 
 	t0 := time.Now()
 	plan := assignPhase(sp)
-	defer planPool.Put(plan)
 	st.Assign = time.Since(t0)
 	st.Objects = int64(len(plan.from))
 	st.Words = plan.total
@@ -181,37 +190,12 @@ func FinishCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
 	}
 
 	t0 = time.Now()
-	runChunks(plan, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sp.Copy(plan.from[i], plan.to[i], plan.size[i])
-		}
-	})
+	runChunks(sp, workers, (*CopySpace).copyRange)
 	st.Copy = time.Since(t0)
 
 	t0 = time.Now()
-	var fixErr atomic.Pointer[error]
-	runChunks(plan, workers, func(lo, hi int) {
-		var offs []int64
-		for i := lo; i < hi; i++ {
-			to := plan.to[i]
-			offs = sp.PtrOffsets(to, offs[:0])
-			for _, off := range offs {
-				v := sp.Mem[to+off]
-				if v == 0 || !sp.InFrom(v) {
-					continue
-				}
-				hd := sp.Mem[v]
-				if hd >= 0 {
-					// Reachable from a marked object yet never marked:
-					// an engine invariant violation, not a user error.
-					err := fmt.Errorf("gc: object %d reachable from %d was not marked", v, plan.from[i])
-					fixErr.Store(&err)
-					return
-				}
-				sp.Mem[to+off] = -hd - 1
-			}
-		}
-	})
+	sp.fixErr.Store(nil)
+	runChunks(sp, workers, (*CopySpace).fixupRange)
 	// Root slots may alias (the same callee-save slot reconstructed
 	// into several frames), so patch them serially; the translation is
 	// idempotent because a patched slot no longer holds a from-space
@@ -222,10 +206,45 @@ func FinishCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
 		}
 	}
 	st.Fixup = time.Since(t0)
-	if e := fixErr.Load(); e != nil {
+	if e := sp.fixErr.Load(); e != nil {
 		return st, *e
 	}
 	return st, nil
+}
+
+// copyRange evacuates plan entries [lo, hi).
+func (sp *CopySpace) copyRange(_ *markWorker, lo, hi int) {
+	plan := &sp.plan
+	for i := lo; i < hi; i++ {
+		sp.Copy(plan.from[i], plan.to[i], plan.size[i])
+	}
+}
+
+// fixupRange translates the pointer fields of the to-space copies of
+// plan entries [lo, hi) through the forwarding words.
+func (sp *CopySpace) fixupRange(w *markWorker, lo, hi int) {
+	plan := &sp.plan
+	offs := w.offs
+	defer func() { w.offs = offs }()
+	for i := lo; i < hi; i++ {
+		to := plan.to[i]
+		offs = sp.PtrOffsets(to, offs[:0])
+		for _, off := range offs {
+			v := sp.Mem[to+off]
+			if v == 0 || !sp.InFrom(v) {
+				continue
+			}
+			hd := sp.Mem[v]
+			if hd >= 0 {
+				// Reachable from a marked object yet never marked:
+				// an engine invariant violation, not a user error.
+				err := fmt.Errorf("gc: object %d reachable from %d was not marked", v, plan.from[i])
+				sp.fixErr.Store(&err)
+				return
+			}
+			sp.Mem[to+off] = -hd - 1
+		}
+	}
 }
 
 // copyPlan is the assign phase's output: the canonical evacuation
@@ -237,18 +256,16 @@ type copyPlan struct {
 	total int64
 }
 
-// planPool recycles copy plans between collections: three words per
-// survivor is the engine's one large allocation, and fresh pages cost
-// more than filling them.
-var planPool = sync.Pool{New: func() any { return new(copyPlan) }}
-
 // assignPhase reads the marked set back in allocation (ascending
 // address) order and lays survivors out contiguously from ToBase by
 // prefix sums of their sizes. This is the determinism keystone: the
 // layout depends only on the marked set.
-func assignPhase(sp CopySpace) *copyPlan {
+func assignPhase(sp *CopySpace) *copyPlan {
 	n := sp.Marks.Len()
-	plan := planPool.Get().(*copyPlan)
+	// Three words per survivor is the engine's one large buffer; it is
+	// kept across collections because fresh pages cost more than
+	// filling them.
+	plan := &sp.plan
 	if cap(plan.from) < n {
 		plan.from, plan.size, plan.to = make([]int64, 0, n), make([]int64, n), make([]int64, n)
 	}
@@ -266,9 +283,11 @@ func assignPhase(sp CopySpace) *copyPlan {
 // runChunks partitions the plan into at most `workers` contiguous
 // index ranges balanced by copied words, each at least
 // minWordsPerWorker, and runs fn over them — inline when that leaves
-// one. The partition is a pure function of the plan, but fn must be
-// order-independent anyway: chunks run concurrently.
-func runChunks(plan *copyPlan, workers int, fn func(lo, hi int)) {
+// one, which then works in the space's recycled scratch. The partition
+// is a pure function of the plan, but fn must be order-independent
+// anyway: chunks run concurrently.
+func runChunks(sp *CopySpace, workers int, fn func(sp *CopySpace, w *markWorker, lo, hi int)) {
+	plan := &sp.plan
 	n := len(plan.from)
 	if n == 0 {
 		return
@@ -277,7 +296,7 @@ func runChunks(plan *copyPlan, workers int, fn func(lo, hi int)) {
 		workers = most
 	}
 	if workers <= 1 {
-		fn(0, n)
+		fn(sp, &sp.gray, 0, n)
 		return
 	}
 	target := (plan.total + int64(workers) - 1) / int64(workers)
@@ -289,7 +308,7 @@ func runChunks(plan *copyPlan, workers int, fn func(lo, hi int)) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				fn(lo, hi)
+				fn(sp, new(markWorker), lo, hi)
 			}(lo, i+1)
 			lo, acc = i+1, 0
 		}
@@ -302,7 +321,7 @@ func runChunks(plan *copyPlan, workers int, fn func(lo, hi int)) {
 // hands — whole chunks — and a worker touches them only when it has
 // surplus to give or nothing left to do.
 type marker struct {
-	sp      CopySpace
+	sp      *CopySpace
 	workers int
 	helpers sync.WaitGroup
 
@@ -313,6 +332,13 @@ type marker struct {
 	idle   int          // workers blocked in take
 	taken  int64
 	err    error // first Check failure any worker reported
+}
+
+// markWorker is one worker's private scratch: its gray stack and the
+// buffer it reads an object's pointer offsets into (fixup chunks use
+// the latter too).
+type markWorker struct {
+	stack, offs []int64
 }
 
 // publish moves the oldest markChunk entries of stack (the ones nearest
@@ -371,9 +397,10 @@ func (e *marker) fail(err error) {
 // the helpers and becomes a participant like them: atomic claims, a
 // chunk to the pool whenever it has surplus and the pool is empty, and
 // an empty stack means wait for a chunk or for everyone to be idle.
-func (e *marker) run(stack []int64, shared bool) {
+func (e *marker) run(w *markWorker, shared bool) {
 	sp, marks := e.sp, e.sp.Marks
-	var offs []int64
+	stack, offs := w.stack, w.offs
+	defer func() { w.stack, w.offs = stack[:0], offs }()
 	for {
 		if len(stack) == 0 {
 			if !shared {
@@ -393,7 +420,7 @@ func (e *marker) run(stack []int64, shared bool) {
 				for i := 1; i < e.workers; i++ {
 					go func() {
 						defer e.helpers.Done()
-						e.run(nil, true)
+						e.run(new(markWorker), true)
 					}()
 				}
 			}
@@ -431,10 +458,13 @@ func (e *marker) run(stack []int64, shared bool) {
 // markPhase computes the live set into sp.Marks and returns the number
 // of chunks that changed hands. Roots are claimed serially, so a bad
 // root is reported deterministically.
-func markPhase(roots []*int64, sp CopySpace, workers int) (int64, error) {
-	e := &marker{sp: sp, workers: workers}
-	e.wake.L = &e.mu
-	var stack []int64
+func markPhase(roots []*int64, sp *CopySpace, workers int) (int64, error) {
+	e := &sp.mark
+	e.sp, e.workers, e.wake.L = sp, workers, &e.mu
+	e.chunks, e.idle, e.taken, e.err = e.chunks[:0], 0, 0, nil
+	e.n.Store(0)
+	w := &sp.gray
+	w.stack = w.stack[:0]
 	for _, p := range roots {
 		v := *p
 		if v == 0 {
@@ -446,10 +476,10 @@ func markPhase(roots []*int64, sp CopySpace, workers int) (int64, error) {
 			}
 		}
 		if sp.InFrom(v) && sp.Marks.ClaimSerial(v) {
-			stack = append(stack, v)
+			w.stack = append(w.stack, v)
 		}
 	}
-	e.run(stack, false)
+	e.run(w, false)
 	e.helpers.Wait()
 	return e.taken, e.err
 }

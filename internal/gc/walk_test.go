@@ -1,11 +1,14 @@
 package gc_test
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/driver"
 	"repro/internal/gc"
+	"repro/internal/gctab"
 	"repro/internal/vmachine"
 )
 
@@ -77,34 +80,34 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 		return w.real.Collect(m)
 	}
 	t := w.t
-	frames, err := gc.WalkMachine(m, w.real.Dec)
-	if err != nil {
+	var walk gc.Walk
+	if err := walk.Machine(m, w.real.Dec, 0); err != nil {
 		t.Fatalf("walk: %v", err)
 	}
+	if len(walk.Threads) != 1 || walk.Threads[0].T != th {
+		t.Fatalf("walked %d threads, want the main thread alone", len(walk.Threads))
+	}
+	tw := &walk.Threads[0]
+	frames := tw.Frames
 	// Inner → Mid → Outer → module body.
 	if len(frames) < 4 {
 		t.Fatalf("walked %d frames, want at least 4", len(frames))
 	}
-	byProc := map[string]*gc.Frame{}
-	for _, f := range frames {
-		byProc[f.View.ProcName] = f
+	inner, mid, outer := &frames[0], &frames[1], &frames[2]
+	if got := inner.Prog.View.ProcName; !strings.Contains(got, "Inner") {
+		t.Fatalf("innermost frame is %q, want Inner (have %s)", got, &walk)
 	}
-	inner, mid, outer := frames[0], frames[1], frames[2]
-	if got := inner.View.ProcName; !strings.Contains(got, "Inner") {
-		t.Fatalf("innermost frame is %q, want Inner (have %v)", got, procNames(frames))
-	}
-	if got := mid.View.ProcName; !strings.Contains(got, "Mid") {
+	if got := mid.Prog.View.ProcName; !strings.Contains(got, "Mid") {
 		t.Fatalf("second frame is %q, want Mid", got)
 	}
-	if got := outer.View.ProcName; !strings.Contains(got, "Outer") {
+	if got := outer.Prog.View.ProcName; !strings.Contains(got, "Outer") {
 		t.Fatalf("third frame is %q, want Outer", got)
 	}
-	_ = byProc
 
 	// The innermost frame's registers ARE the interpreter's: every
-	// RegAddr entry must alias the thread's live register file.
+	// register must resolve to the thread's live register file.
 	for r := 0; r < 16; r++ {
-		if inner.RegAddr[r] != &th.Regs[r] {
+		if tw.RegPtr(m, inner, r) != &th.Regs[r] {
 			t.Errorf("inner frame R%d reconstructed from memory, want &thread.Regs[%d]", r, r)
 		}
 	}
@@ -112,13 +115,13 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 	// At least two nested frames spilled callee-save registers — the
 	// reconstruction under test is only exercised through such spills.
 	saved := 0
-	for _, f := range frames {
-		if len(f.View.Saves) > 0 {
+	for i := range frames {
+		if len(frames[i].Prog.Saves) > 0 {
 			saved++
 		}
 	}
 	if saved < 2 {
-		t.Fatalf("only %d frames carry callee-save maps, want >= 2 (%v)", saved, procNames(frames))
+		t.Fatalf("only %d frames carry callee-save maps, want >= 2 (%s)", saved, &walk)
 	}
 
 	// Registers that Inner's prologue spilled must be reconstructed for
@@ -126,15 +129,16 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 	// (b) to exactly the values the interpreter held at Mid's own
 	// gc-point one call earlier — callee-save discipline means nothing
 	// in between may change them.
-	if len(inner.View.Saves) == 0 {
+	if len(inner.Prog.Saves) == 0 {
 		t.Fatal("Inner spilled no callee-save registers; the test program no longer exercises reconstruction")
 	}
-	for _, sv := range inner.View.Saves {
+	for _, sv := range inner.Prog.Saves {
 		addr := inner.FP + int64(sv.Off)
-		if mid.RegAddr[sv.Reg] != &m.Mem[addr] {
+		got := tw.RegPtr(m, mid, int(sv.Reg))
+		if got != &m.Mem[addr] {
 			t.Errorf("Mid's R%d not reconstructed from Inner's save slot FP%+d", sv.Reg, sv.Off)
 		}
-		if got, want := *mid.RegAddr[sv.Reg], w.snap[sv.Reg]; got != want {
+		if got, want := *got, w.snap[sv.Reg]; got != want {
 			t.Errorf("Mid's reconstructed R%d = %d, interpreter had %d at Mid's gc-point", sv.Reg, got, want)
 		}
 	}
@@ -146,9 +150,9 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 		f    *gc.Frame
 		want int64
 	}{{mid, 200}, {outer, 300}} {
-		if !frameReaches(m, fr.f, fr.want) {
+		if !frameReaches(m, tw, fr.f, fr.want) {
 			t.Errorf("frame %s: no reconstructed root reaches a record with head %d",
-				fr.f.View.ProcName, fr.want)
+				fr.f.Prog.View.ProcName, fr.want)
 		}
 	}
 
@@ -156,27 +160,24 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 	return w.real.Collect(m)
 }
 
-func procNames(frames []*gc.Frame) []string {
-	var names []string
-	for _, f := range frames {
-		names = append(names, f.View.ProcName)
-	}
-	return names
-}
-
 // frameReaches reports whether any live root of f (register or stack
 // slot) points at a heap record whose first field is want.
-func frameReaches(m *vmachine.Machine, f *gc.Frame, want int64) bool {
+func frameReaches(m *vmachine.Machine, tw *gc.ThreadWalk, f *gc.Frame, want int64) bool {
 	check := func(p int64) bool {
 		return p >= m.HeapLo && p+1 < m.HeapHi && m.Mem[p+1] == want
 	}
 	for r := 0; r < 16; r++ {
-		if f.View.RegPtrs&(1<<uint(r)) != 0 && check(*f.RegAddr[r]) {
+		if f.Prog.RegPtrs&(1<<uint(r)) != 0 && check(*tw.RegPtr(m, f, r)) {
 			return true
 		}
 	}
-	for _, loc := range f.View.Live {
-		if check(*f.LocPtr(m, loc)) {
+	for _, off := range f.Prog.FPRoots {
+		if check(m.Mem[f.FP+int64(off)]) {
+			return true
+		}
+	}
+	for _, off := range f.Prog.SPRoots {
+		if check(m.Mem[f.SP+int64(off)]) {
 			return true
 		}
 	}
@@ -218,5 +219,95 @@ func TestNestedCalleeSaveReconstruction(t *testing.T) {
 	}
 	if col.Collections != 1 {
 		t.Errorf("real collector ran %d times, want 1", col.Collections)
+	}
+}
+
+// chainBreaker lets the run reach Inner's gc-point (the second forced
+// collection), and there hands the machine to the collector entry under
+// test together with a way to damage Mid's saved-FP word.
+type chainBreaker struct {
+	t       *testing.T
+	dec     gctab.TableDecoder
+	savedFP func(midFP, innerFP, stackHi int64) int64
+	collect func(m *vmachine.Machine, damage func()) error
+	calls   int
+	midPC   int
+}
+
+func (b *chainBreaker) Collect(m *vmachine.Machine) error {
+	if b.calls++; b.calls != 2 {
+		return nil
+	}
+	var walk gc.Walk
+	if err := walk.Machine(m, b.dec, 1); err != nil {
+		b.t.Fatalf("walk of the intact stack: %v", err)
+	}
+	frames := walk.Threads[0].Frames
+	inner, mid := frames[0], frames[1]
+	b.midPC = mid.PC
+	return b.collect(m, func() {
+		m.Mem[mid.FP] = b.savedFP(mid.FP, inner.FP, m.Threads[0].StackHi)
+	})
+}
+
+// TestCorruptFrameChain damages a saved FP in the middle of a live stack
+// three ways — pointing at itself, back down at its callee, and past
+// the thread's stack — and requires the stop-the-world collection and
+// the concurrent final pause alike to stop with an error naming the
+// thread and the frame's pc, where the walker used to follow the chain
+// until memory ran out or an index left the machine's memory.
+func TestCorruptFrameChain(t *testing.T) {
+	damages := []struct {
+		name    string
+		savedFP func(midFP, innerFP, stackHi int64) int64
+	}{
+		{"self cycle", func(mid, _, _ int64) int64 { return mid }},
+		{"back to the callee", func(_, inner, _ int64) int64 { return inner }},
+		{"past the stack", func(_, _, hi int64) int64 { return hi + 5 }},
+	}
+	for _, concurrent := range []bool{false, true} {
+		for _, d := range damages {
+			name := "stw/" + d.name
+			if concurrent {
+				name = "concurrent final pause/" + d.name
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := driver.NewOptions()
+				opts.ConcurrentMark = concurrent
+				c, err := driver.Compile("t.m3", nestedSrc, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := vmachine.DefaultConfig()
+				cfg.HeapWords = 1 << 12
+				cfg.Out = io.Discard
+				m, col, err := c.NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := &chainBreaker{t: t, dec: col.Dec, savedFP: d.savedFP}
+				b.collect = func(m *vmachine.Machine, damage func()) error {
+					if !concurrent {
+						damage()
+						return col.Collect(m)
+					}
+					if err := col.StartCycle(m); err != nil {
+						t.Fatalf("initial pause on the intact stack: %v", err)
+					}
+					damage()
+					return col.FinishCycle(m)
+				}
+				m.Collector = b
+				err = m.Run(0)
+				if err == nil {
+					t.Fatal("run finished on a corrupt frame chain")
+				}
+				for _, want := range []string{"corrupt frame chain", "thread 0", fmt.Sprintf("pc %d", b.midPC)} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not mention %q", err, want)
+					}
+				}
+			})
+		}
 	}
 }

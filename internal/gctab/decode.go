@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/telemetry"
 )
@@ -428,6 +427,40 @@ func (d *Decoder) decode(pc int) (*PointView, error) {
 	return view, err
 }
 
+// Program decodes the tables for gc-point pc and resolves them into a
+// frame program — on every call, like Decode, so a collector walking
+// through a plain Decoder pays the paper's per-visit cost.
+func (d *Decoder) Program(pc int) (*FrameProgram, error) {
+	view, err := d.Decode(pc)
+	if view == nil {
+		return nil, err
+	}
+	prog, err := compileProgram(view)
+	if err != nil {
+		return nil, fmt.Errorf("gctab: %s: gc-point pc %d: %w", view.ProcName, pc, err)
+	}
+	return prog, nil
+}
+
+// procOf returns the index of the procedure whose [Entry, End) holds
+// pc, or -1.
+func (e *Encoded) procOf(pc int) int {
+	idx := e.Index
+	lo, hi := 0, len(idx)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if idx[mid].End > pc {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo >= len(idx) || pc < idx[lo].Entry {
+		return -1
+	}
+	return lo
+}
+
 // NumProcs returns the number of procedures in the encoded object.
 func (d *Decoder) NumProcs() int { return len(d.Enc.Index) }
 
@@ -454,13 +487,11 @@ func (d *Decoder) segment(i int) ([]byte, error) {
 }
 
 func (d *Decoder) decodeCounting(pc int) (*PointView, int64, error) {
-	idx := d.Enc.Index
-	// Binary search for the procedure containing pc.
-	i := sort.Search(len(idx), func(i int) bool { return idx[i].End > pc })
-	if i >= len(idx) || pc < idx[i].Entry {
+	i := d.Enc.procOf(pc)
+	if i < 0 {
 		return nil, 0, nil
 	}
-	pi := idx[i]
+	pi := d.Enc.Index[i]
 	seg, segErr := d.segment(i)
 	if segErr != nil {
 		return nil, 0, segErr
@@ -568,22 +599,30 @@ func (d *Decoder) WalkProc(i int, yield func(*RawPoint) error) ([]RegSave, error
 		rp.View.Saves = append(rp.View.Saves, w.saves...)
 		rp.View.Live = append(rp.View.Live, w.live...)
 		rp.View.RegPtrs = w.regs
-		for _, de := range w.derivs {
-			cp := DerivEntry{Target: de.Target}
-			if de.Sel != nil {
-				sel := *de.Sel
-				cp.Sel = &sel
-			}
-			for _, variant := range de.Variants {
-				cp.Variants = append(cp.Variants, append([]SignedLoc(nil), variant...))
-			}
-			rp.View.Derivs = append(rp.View.Derivs, cp)
-		}
+		rp.View.Derivs = copyDerivs(w.derivs)
 		if err := yield(rp); err != nil {
 			return w.saves, err
 		}
 	}
 	return w.saves, nil
+}
+
+// copyDerivs deep-copies a walker's running derivations table, which
+// the next gc-point overwrites in place.
+func copyDerivs(derivs []DerivEntry) []DerivEntry {
+	var out []DerivEntry
+	for _, de := range derivs {
+		cp := DerivEntry{Target: de.Target}
+		if de.Sel != nil {
+			sel := *de.Sel
+			cp.Sel = &sel
+		}
+		for _, variant := range de.Variants {
+			cp.Variants = append(cp.Variants, append([]SignedLoc(nil), variant...))
+		}
+		out = append(out, cp)
+	}
+	return out
 }
 
 // String renders a point view for debugging.

@@ -22,6 +22,9 @@ func Pinned(dec TableDecoder) TableDecoder {
 // Decode forwards to the shared decoder.
 func (p pinnedDecoder) Decode(pc int) (*PointView, error) { return p.dec.Decode(pc) }
 
+// Program forwards to the shared decoder.
+func (p pinnedDecoder) Program(pc int) (*FrameProgram, error) { return p.dec.Program(pc) }
+
 // SetTracer is a no-op: telemetry is pinned at the shared decoder.
 func (p pinnedDecoder) SetTracer(*telemetry.Tracer) {}
 

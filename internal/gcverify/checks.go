@@ -160,10 +160,24 @@ func sortedLocs(ls []gctab.Location) []gctab.Location {
 }
 
 // checkStrict compares the decoded tables bit-for-bit against the
-// compiler's in-memory object, and cross-checks the compiler's
-// known-scalar debug channel against the pointer tables.
+// compiler's in-memory object, cross-checks the compiler's known-scalar
+// debug channel against the pointer tables, and checks that the frame
+// program the collectors execute says what the decoded tables say.
 func (ck *procCheck) checkStrict() {
 	obj := ck.obj
+	for _, rp := range ck.points {
+		prog, err := ck.v.cache.Program(rp.PC)
+		switch {
+		case err != nil:
+			ck.addf(KindStrict, rp.PC, "no frame program: %v", err)
+		case prog == nil:
+			ck.addf(KindStrict, rp.PC, "no frame program for a decoded gc-point")
+		default:
+			if err := prog.Verify(&rp.View); err != nil {
+				ck.addf(KindStrict, rp.PC, "frame program differs from the decoded tables: %v", err)
+			}
+		}
+	}
 	if len(ck.saves) != len(obj.Saves) {
 		ck.addf(KindStrict, -1, "decoded %d callee-save records, compiler has %d", len(ck.saves), len(obj.Saves))
 	} else {

@@ -13,7 +13,9 @@
 // In strict mode (Options.Object) the decoded tables are additionally
 // compared bit-for-bit against the compiler's in-memory tables, which
 // turns the verifier into a near-exhaustive encode/decode oracle for
-// the seeded-fault harness in mutate.go.
+// the seeded-fault harness in mutate.go, and the frame program the
+// collectors execute at each gc-point (gctab.FrameProgram) is checked
+// against the plain decoder's tables for that point.
 package gcverify
 
 import (
@@ -124,8 +126,11 @@ type verifier struct {
 	prog *vmachine.Program
 	enc  *gctab.Encoded
 	dec  *gctab.Decoder
-	opts Options
-	rep  *Report
+	// cache supplies the frame programs strict mode checks against the
+	// plain decoder's tables.
+	cache *gctab.CachedDecoder
+	opts  Options
+	rep   *Report
 
 	procByEntry map[int]*vmachine.ProcInfo
 	mayCollect  map[int]bool // proc entry -> a collection is reachable
@@ -138,7 +143,7 @@ func Verify(prog *vmachine.Program, enc *gctab.Encoded, opts Options) *Report {
 		opts.MaxFindings = 200
 	}
 	v := &verifier{
-		prog: prog, enc: enc, dec: gctab.NewDecoder(enc), opts: opts,
+		prog: prog, enc: enc, dec: gctab.NewDecoder(enc), cache: gctab.NewCachedDecoder(enc), opts: opts,
 		rep:         &Report{},
 		procByEntry: map[int]*vmachine.ProcInfo{},
 	}

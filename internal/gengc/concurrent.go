@@ -74,13 +74,13 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 
 	// The bitmap must cover every address a black allocation can claim
 	// before the flip: the whole nursery and the current old semispace.
-	c.resetMarks(h.Lo, h.Hi)
+	c.marks.Reset(h.Lo, h.Hi)
 
 	traceStart := time.Now()
-	frames, err := gc.WalkMachineN(m, c.Dec, c.WalkWorkers)
-	if err != nil {
+	if err := c.walk.Machine(m, c.Dec, c.WalkWorkers); err != nil {
 		return err
 	}
+	nFrames := int64(c.walk.NumFrames())
 	walkTime := time.Since(traceStart)
 	c.StackTraceTime += walkTime
 
@@ -89,7 +89,7 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	// reachable by scanning its old-space holder, but seeding it keeps
 	// the barrier invariant locally checkable).
 	cyc := &concCycle{}
-	for _, p := range c.rootsWithRemset(m, frames) {
+	for _, p := range c.rootsWithRemset(m) {
 		v := *p
 		if v != 0 && h.Contains(v) && c.marks.ClaimSerial(v) {
 			cyc.gray = append(cyc.gray, v)
@@ -100,8 +100,8 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	m.AllocMark = c.blackAlloc
 
 	if c.Tel != nil {
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.mFrames.Add(int64(len(frames)))
+		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
+		c.mFrames.Add(nFrames)
 		c.hWalk.Observe(int64(walkTime))
 		c.hPause.Observe(c.Tel.Now() - telStart)
 	}
@@ -221,17 +221,16 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 	}
 
 	traceStart := time.Now()
-	frames, err := gc.WalkMachineN(m, c.Dec, c.WalkWorkers)
-	if err != nil {
+	if err := c.walk.Machine(m, c.Dec, c.WalkWorkers); err != nil {
 		return err
 	}
-	if err := gc.AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
+	if err := c.walk.AdjustDerived(m, c.TraceWorkers); err != nil {
 		return err
 	}
 	walkTime := time.Since(traceStart)
 	c.StackTraceTime += walkTime
 
-	roots := c.rootsWithRemset(m, frames)
+	roots := c.rootsWithRemset(m)
 	for _, p := range roots {
 		if v := *p; v != 0 && h.Contains(v) && !c.marks.Marked(v) {
 			return fmt.Errorf("gengc: root %d unmarked at final pause (SATB invariant violated)", v)
@@ -239,22 +238,7 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 	}
 
 	c.Major++
-	inFrom := func(v int64) bool {
-		return h.InNursery(v) || (v >= h.oldFrom && v < h.oldAlloc)
-	}
-	sp := gc.CopySpace{
-		Mem:        h.Mem,
-		SpanLo:     h.Lo,
-		SpanHi:     h.Hi,
-		InFrom:     inFrom,
-		SizeOf:     h.SizeOf,
-		PtrOffsets: h.PointerOffsets,
-		Copy:       h.copyObjectSized,
-		ToBase:     h.oldTo,
-		ToLimit:    h.oldTo + h.oldSemi,
-		Marks:      c.marks,
-	}
-	st, err := gc.FinishCopy(roots, sp, c.TraceWorkers)
+	st, err := gc.FinishCopy(roots, c.majorCopySpace(h.Hi), c.TraceWorkers)
 	if err != nil {
 		return err
 	}
@@ -263,17 +247,8 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 	c.AssignTime += st.Assign
 	c.CopyTime += st.Copy
 	c.FixupTime += st.Fixup
-	h.oldFrom, h.oldTo = h.oldTo, h.oldFrom
-	h.oldAlloc = st.Next
-	for w := h.oldTo; w < h.oldTo+h.oldSemi; w++ {
-		h.Mem[w] = 0
-	}
-	h.resetNursery()
-	// Same reasoning as major(): every old-from slot just moved and the
-	// nursery is empty, so no old→young pointer exists; the set is
-	// rebuilt from scratch by the store barrier.
-	c.remset = make(map[int64]bool)
-	gc.RederiveAllN(m, frames, c.TraceWorkers)
+	c.finishMajor(st.Next)
+	c.walk.RederiveAll(m, c.TraceWorkers)
 
 	m.SATB = nil
 	m.AllocMark = nil
@@ -281,16 +256,13 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 	c.Cycles++
 
 	if c.Tel != nil {
-		var nDeriv int64
-		for _, f := range frames {
-			nDeriv += int64(len(f.View.Derivs))
-		}
+		nFrames, nDeriv := int64(c.walk.NumFrames()), int64(c.walk.NumDerivs())
 		movedBytes := st.Words * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, movedBytes, int64(len(frames)), nDeriv, nDeriv)
+		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
+		c.Tel.Emit(telemetry.EvGCEnd, tid, movedBytes, nFrames, nDeriv, nDeriv)
 		c.mCollections.Add(1)
 		c.mMajor.Add(1)
-		c.mFrames.Add(int64(len(frames)))
+		c.mFrames.Add(nFrames)
 		c.mCopied.Add(movedBytes)
 		c.mObjects.Add(st.Objects)
 		c.mAdjusted.Add(nDeriv)

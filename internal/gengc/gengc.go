@@ -19,7 +19,7 @@ package gengc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/gc"
@@ -140,9 +140,7 @@ func (h *Heap) allocOld(descID int, n, size int64) (int64, bool) {
 	addr := h.oldAlloc
 	h.oldAlloc += size
 	h.OldAllocated += size
-	for w := addr; w < addr+size; w++ {
-		h.Mem[w] = 0
-	}
+	clear(h.Mem[addr : addr+size])
 	h.initObject(addr, descID, n)
 	return addr, true
 }
@@ -164,10 +162,14 @@ func (h *Heap) copyObjectSized(addr, to, size int64) {
 
 // resetNursery zeroes and empties the nursery after a collection.
 func (h *Heap) resetNursery() {
-	for w := h.Lo; w < h.nurseryAlloc; w++ {
-		h.Mem[w] = 0
-	}
+	clear(h.Mem[h.Lo:h.nurseryAlloc])
 	h.nurseryAlloc = h.Lo
+}
+
+// inFrom reports whether v is movable by a major collection: a young
+// object, or one in the current old space.
+func (h *Heap) inFrom(v int64) bool {
+	return h.InNursery(v) || (v >= h.oldFrom && v < h.oldAlloc)
 }
 
 // PointerOffsets appends the pointer-field offsets of the object at
@@ -221,9 +223,16 @@ type Collector struct {
 
 	remset map[int64]bool // old-space slot addresses holding young pointers
 
-	// marks is the recycled mark bitmap shared by minor and major
-	// cycles.
-	marks *heap.MarkSet
+	// Per-collector state recycled across collections, so a minor in
+	// steady state allocates nothing: the stack-walk arena, the sorted
+	// remembered slots, the engine's descriptions of the two kinds of
+	// collection (each with the engine's scratch), and the mark bitmap
+	// they share.
+	walk       gc.Walk
+	slots      []int64
+	minorSpace gc.CopySpace
+	majorSpace gc.CopySpace
+	marks      heap.MarkSet
 
 	// cyc is the in-flight concurrent major cycle, nil outside one.
 	cyc *concCycle
@@ -389,11 +398,10 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	}
 
 	traceStart := time.Now()
-	frames, err := gc.WalkMachineN(m, c.Dec, c.WalkWorkers)
-	if err != nil {
+	if err := c.walk.Machine(m, c.Dec, c.WalkWorkers); err != nil {
 		return err
 	}
-	if err := gc.AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
+	if err := c.walk.AdjustDerived(m, c.TraceWorkers); err != nil {
 		return err
 	}
 	walkTime := time.Since(traceStart)
@@ -401,15 +409,15 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 
 	promotedBefore, copiedBefore := c.PromotedWords, c.MajorCopied
 	var st gc.TraceStats
+	var err error
 	if escalate {
 		h.pendingOld = false
-		if st, err = c.major(m, frames); err != nil {
-			return err
-		}
+		st, err = c.major(m)
 	} else {
-		if st, err = c.minor(m, frames); err != nil {
-			return err
-		}
+		st, err = c.minor(m)
+	}
+	if err != nil {
+		return err
 	}
 	c.ObjectsCopied += st.Objects
 	c.Steals += st.Steals
@@ -418,16 +426,13 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	c.CopyTime += st.Copy
 	c.FixupTime += st.Fixup
 
-	gc.RederiveAllN(m, frames, c.TraceWorkers)
+	c.walk.RederiveAll(m, c.TraceWorkers)
 
 	if c.Tel != nil {
-		var nDeriv int64
-		for _, f := range frames {
-			nDeriv += int64(len(f.View.Derivs))
-		}
+		nFrames, nDeriv := int64(c.walk.NumFrames()), int64(c.walk.NumDerivs())
 		movedBytes := (c.PromotedWords - promotedBefore + c.MajorCopied - copiedBefore) * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, movedBytes, int64(len(frames)), nDeriv, nDeriv)
+		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
+		c.Tel.Emit(telemetry.EvGCEnd, tid, movedBytes, nFrames, nDeriv, nDeriv)
 		c.mCollections.Add(1)
 		if escalate {
 			c.mMajor.Add(1)
@@ -435,7 +440,7 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 			c.mMinor.Add(1)
 			c.mPromoted.Add(movedBytes)
 		}
-		c.mFrames.Add(int64(len(frames)))
+		c.mFrames.Add(nFrames)
 		c.mCopied.Add(movedBytes)
 		c.mObjects.Add(st.Objects)
 		c.mSteals.Add(st.Steals)
@@ -459,30 +464,28 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	return nil
 }
 
-// rootsWithRemset is the minor collection's root list: the precise
-// roots plus the remembered old-space slots, the latter in address
-// order so the list itself is deterministic.
-func (c *Collector) rootsWithRemset(m *vmachine.Machine, frames []*gc.Frame) []*int64 {
-	roots := gc.CollectRoots(m, frames)
-	slots := make([]int64, 0, len(c.remset))
+// rootsWithRemset is the collection's root list: the precise roots
+// of the walked stacks plus the remembered old-space slots, the latter
+// in address order so the list itself is deterministic.
+func (c *Collector) rootsWithRemset(m *vmachine.Machine) []*int64 {
+	c.slots = c.slots[:0]
 	for slot := range c.remset {
-		slots = append(slots, slot)
+		c.slots = append(c.slots, slot)
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, slot := range slots {
-		roots = append(roots, &m.Mem[slot])
-	}
-	return roots
+	slices.Sort(c.slots)
+	return c.walk.Roots(m, c.slots)
 }
 
-// resetMarks recycles the mark bitmap for a new cycle over [lo, hi).
-func (c *Collector) resetMarks(lo, hi int64) *heap.MarkSet {
-	if c.marks == nil {
-		c.marks = heap.NewMarkSet(lo, hi)
-	} else {
-		c.marks.Reset(lo, hi)
-	}
-	return c.marks
+// bindSpace fills in the parts of a CopySpace that never change. Callers
+// do it once per space (sp.Mem == nil): a method value allocates each
+// time it is taken.
+func (c *Collector) bindSpace(sp *gc.CopySpace, inFrom func(int64) bool) {
+	h := c.Heap
+	sp.Mem = h.Mem
+	sp.InFrom = inFrom
+	sp.SizeOf = h.SizeOf
+	sp.PtrOffsets = h.PointerOffsets
+	sp.Copy = h.copyObjectSized
 }
 
 // minor promotes all live young objects into the old space through the
@@ -493,22 +496,18 @@ func (c *Collector) resetMarks(lo, hi int64) *heap.MarkSet {
 // references are covered by the remembered set (the store-barrier
 // invariant), and every pointer into the nursery — remembered slot,
 // stack root, or a field of a promoted copy — is forwarded in fixup.
-func (c *Collector) minor(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStats, error) {
+func (c *Collector) minor(m *vmachine.Machine) (gc.TraceStats, error) {
 	c.Minor++
 	h := c.Heap
-	sp := gc.CopySpace{
-		Mem:        h.Mem,
-		SpanLo:     h.Lo,
-		SpanHi:     h.nurseryAlloc,
-		InFrom:     h.InNursery,
-		SizeOf:     h.SizeOf,
-		PtrOffsets: h.PointerOffsets,
-		Copy:       h.copyObjectSized,
-		ToBase:     h.oldAlloc,
-		ToLimit:    h.oldFrom + h.oldSemi,
-		Marks:      c.resetMarks(h.Lo, h.nurseryAlloc),
+	sp := &c.minorSpace
+	if sp.Mem == nil {
+		c.bindSpace(sp, h.InNursery)
 	}
-	st, err := gc.TraceCopy(c.rootsWithRemset(m, frames), sp, c.TraceWorkers)
+	sp.SpanLo, sp.SpanHi = h.Lo, h.nurseryAlloc
+	sp.ToBase, sp.ToLimit = h.oldAlloc, h.oldFrom+h.oldSemi
+	c.marks.Reset(h.Lo, h.nurseryAlloc)
+	sp.Marks = &c.marks
+	st, err := gc.TraceCopy(c.rootsWithRemset(m), sp, c.TraceWorkers)
 	if err != nil {
 		return st, err
 	}
@@ -516,62 +515,67 @@ func (c *Collector) minor(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStat
 	h.oldAlloc = st.Next
 	// Nothing young survives unpromoted: the remembered set is empty by
 	// construction now.
-	c.remset = make(map[int64]bool)
+	clear(c.remset)
 	h.resetNursery()
 	return st, nil
+}
+
+// majorCopySpace aims the major collection's CopySpace at the span
+// [Lo, hi) of both generations and the other old semispace.
+func (c *Collector) majorCopySpace(hi int64) *gc.CopySpace {
+	h := c.Heap
+	sp := &c.majorSpace
+	if sp.Mem == nil {
+		c.bindSpace(sp, h.inFrom)
+	}
+	sp.SpanLo, sp.SpanHi = h.Lo, hi
+	sp.ToBase, sp.ToLimit = h.oldTo, h.oldTo+h.oldSemi
+	sp.Marks = &c.marks
+	return sp
 }
 
 // major copies everything live (young and old) into the other old
 // semispace, again with canonical placement: survivors land in
 // ascending from-address order (nursery objects first, then the old
 // space in its allocation order).
-func (c *Collector) major(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStats, error) {
+func (c *Collector) major(m *vmachine.Machine) (gc.TraceStats, error) {
 	c.Major++
 	h := c.Heap
-	inFrom := func(v int64) bool {
-		return h.InNursery(v) || (v >= h.oldFrom && v < h.oldAlloc)
-	}
-	sp := gc.CopySpace{
-		Mem:        h.Mem,
-		SpanLo:     h.Lo,
-		SpanHi:     h.oldAlloc,
-		InFrom:     inFrom,
-		SizeOf:     h.SizeOf,
-		PtrOffsets: h.PointerOffsets,
-		Copy:       h.copyObjectSized,
-		ToBase:     h.oldTo,
-		ToLimit:    h.oldTo + h.oldSemi,
-		Marks:      c.resetMarks(h.Lo, h.oldAlloc),
-	}
+	c.marks.Reset(h.Lo, h.oldAlloc)
+	sp := c.majorCopySpace(h.oldAlloc)
+	sp.Check = nil
 	if c.Debug {
 		sp.Check = func(v int64) error {
-			if !inFrom(v) {
+			if !h.inFrom(v) {
 				return fmt.Errorf("gengc: root %d outside the heap", v)
 			}
 			return nil
 		}
 	}
-	st, err := gc.TraceCopy(c.rootsWithRemset(m, frames), sp, c.TraceWorkers)
+	st, err := gc.TraceCopy(c.rootsWithRemset(m), sp, c.TraceWorkers)
 	if err != nil {
 		return st, err
 	}
 	c.MajorCopied += st.Words
-	// Flip the old semispaces and zero the new copy target.
-	h.oldFrom, h.oldTo = h.oldTo, h.oldFrom
-	h.oldAlloc = st.Next
-	for w := h.oldTo; w < h.oldTo+h.oldSemi; w++ {
-		h.Mem[w] = 0
-	}
-	h.resetNursery()
-	// The remembered set held old-FROM-space slot addresses, all of
-	// which just moved; stale entries must not survive the compaction.
-	// Clearing (rather than relocating) them is sound for the same
-	// reason it is after a minor collection: the nursery was reset too,
-	// so no old→young pointer exists anywhere — the set is rebuilt from
-	// scratch by the store barrier. The minor→major→minor regression
-	// test pins this.
-	c.remset = make(map[int64]bool)
+	c.finishMajor(st.Next)
 	return st, nil
+}
+
+// finishMajor flips the old semispaces after a major's copy and empties
+// the nursery and the remembered set. The set held old-FROM-space slot
+// addresses, all of which just moved; stale entries must not survive
+// the compaction. Clearing (rather than relocating) them is sound for
+// the same reason it is after a minor collection: the nursery was reset
+// too, so no old→young pointer exists anywhere — the set is rebuilt
+// from scratch by the store barrier. The minor→major→minor regression
+// test pins this.
+func (c *Collector) finishMajor(copyEnd int64) {
+	h := c.Heap
+	h.oldFrom, h.oldTo = h.oldTo, h.oldFrom
+	h.oldAlloc = copyEnd
+	clear(h.Mem[h.oldTo : h.oldTo+h.oldSemi]) // the next major's copy target
+	h.resetNursery()
+	clear(c.remset)
 }
 
 // LiveOldWords reports the words in use in the old space.

@@ -47,6 +47,12 @@ type Heap struct {
 
 	// copiedObjects counts survivors of the in-progress collection.
 	copiedObjects int64
+
+	// toDirty bounds the words of the copy space that may be nonzero:
+	// [ToLo, toDirty) is what the mutator wrote while that space was
+	// last allocated from; everything from toDirty up is still zero.
+	// (Kept off the allocation fast path's cache line.)
+	toDirty int64
 }
 
 // WordBytes is the byte size of one VM word (the heap is an []int64).
@@ -72,6 +78,7 @@ func NewQuota(mem []int64, lo, hi int64, descs *types.DescTable, quotaWords int6
 	}
 	h.FromLo = lo
 	h.ToLo = lo + h.semi
+	h.toDirty = h.ToLo
 	h.Alloc = h.FromLo
 	h.Limit = h.FromLo + h.quota
 	return h
@@ -254,8 +261,8 @@ func (h *Heap) FromSpan() (lo, hi int64) { return h.FromLo, h.Alloc }
 // cheaper ClaimSerial. Because the bitmap is indexed by address, reading
 // it back (Len, AppendTo) yields the claimed set in ascending address —
 // allocation — order, which is what makes the copy plan canonical. The
-// zero value is unusable; construct with NewMarkSet and recycle across
-// collections with Reset.
+// zero value is an empty set over no span: aim it, and recycle it across
+// collections, with Reset.
 type MarkSet struct {
 	lo   int64
 	bits []uint64
@@ -343,15 +350,20 @@ func (s *MarkSet) AppendTo(out []int64) []int64 {
 }
 
 // FinishCollection flips semispaces: the copy space (filled up to
-// copyEnd) becomes the allocation space, and the remainder is zeroed so
-// future allocations see fresh memory.
+// copyEnd) becomes the allocation space, and the rest of it is zero so
+// future allocations see fresh memory. Only the words between copyEnd
+// and where the mutator got to when it last allocated from this space
+// can be stale; beyond that mark nothing was ever written, so the flip
+// costs what was dirtied, not the semispace.
 func (h *Heap) FinishCollection(copyEnd int64) {
+	abandoned := h.Alloc
 	h.FromLo, h.ToLo = h.ToLo, h.FromLo
 	h.Alloc = copyEnd
 	h.Limit = h.FromLo + h.quota
-	for i := h.Alloc; i < h.Limit; i++ {
-		h.Mem[i] = 0
+	if h.toDirty > copyEnd {
+		clear(h.Mem[copyEnd:h.toDirty])
 	}
+	h.toDirty = abandoned
 	h.Collections++
 	h.LiveObjects = h.copiedObjects
 	h.copiedObjects = 0
@@ -379,7 +391,9 @@ func (h *Heap) PointerOffsets(addr int64, out []int64) []int64 {
 }
 
 // Check validates basic heap invariants (headers in range, sizes within
-// the allocation space); used by tests and the stress modes.
+// the allocation space, and the free remainder [Alloc, Limit) all zero —
+// what the allocators' zeroed-memory contract and FinishCollection's
+// partial clear rest on); used by tests and the stress modes.
 func (h *Heap) Check() error {
 	for addr := h.FromLo; addr < h.Alloc; {
 		hd := h.Mem[addr]
@@ -391,6 +405,11 @@ func (h *Heap) Check() error {
 			return fmt.Errorf("heap: object at %d has size %d beyond alloc %d", addr, size, h.Alloc)
 		}
 		addr += size
+	}
+	for i, w := range h.Mem[h.Alloc:h.Limit] {
+		if w != 0 {
+			return fmt.Errorf("heap: free word %d holds %d, want 0 (alloc %d, limit %d)", h.Alloc+int64(i), w, h.Alloc, h.Limit)
+		}
 	}
 	return nil
 }

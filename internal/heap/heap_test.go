@@ -397,3 +397,143 @@ func TestMarkSetConcurrentClaim(t *testing.T) {
 		t.Fatal("AppendTo not ascending")
 	}
 }
+
+// flipWorld drives a heap through mutator phases and collections the way
+// a collector would, writing a nonzero payload into everything it
+// allocates so that a word the flip failed to clear cannot hide.
+type flipWorld struct {
+	t     *testing.T
+	h     *Heap
+	recID int
+	live  []int64
+}
+
+func newFlipWorld(t *testing.T, words, quota int64) *flipWorld {
+	t.Helper()
+	mem := make([]int64, 64+words)
+	dt := types.NewDescTable()
+	recID := dt.Intern(types.NewRecord([]types.Field{
+		{Name: "a", Type: types.IntType},
+		{Name: "b", Type: types.IntType},
+	}))
+	return &flipWorld{t: t, h: NewQuota(mem, 64, 64+words, dt, quota), recID: recID}
+}
+
+// run allocates up to n records (fewer if the space fills) and reports
+// how many it got.
+func (w *flipWorld) run(n int) int {
+	for i := 0; i < n; i++ {
+		a, ok := w.h.TryAlloc(w.recID, 0)
+		if !ok {
+			return i
+		}
+		w.h.Mem[a+1], w.h.Mem[a+2] = -7, int64(len(w.live))+1
+		w.live = append(w.live, a)
+	}
+	return n
+}
+
+// collect keeps the first keep live records, flips, and checks both the
+// heap's own invariants and the stronger one they stand for: every word
+// of the new allocation space past the survivors is zero, quota or not.
+func (w *flipWorld) collect(keep int) {
+	w.t.Helper()
+	h := w.h
+	if keep > len(w.live) {
+		keep = len(w.live)
+	}
+	next := h.BeginCollection()
+	for i, a := range w.live[:keep] {
+		w.live[i], next = h.CopyObject(a, next)
+	}
+	w.live = w.live[:keep]
+	h.FinishCollection(next)
+	if err := h.Check(); err != nil {
+		w.t.Fatalf("after collection %d: %v", h.Collections, err)
+	}
+	for i := h.Alloc; i < h.FromLo+h.semi; i++ {
+		if h.Mem[i] != 0 {
+			w.t.Fatalf("after collection %d: word %d of the free space holds %d (alloc %d, limit %d)",
+				h.Collections, i, h.Mem[i], h.Alloc, h.Limit)
+		}
+	}
+	for i, a := range w.live {
+		if h.Mem[a+1] != -7 || h.Mem[a+2] != int64(i)+1 {
+			w.t.Fatalf("after collection %d: survivor %d at %d holds (%d, %d)", h.Collections, i, a, h.Mem[a+1], h.Mem[a+2])
+		}
+	}
+}
+
+// TestFlipClearsWhatWasDirtied covers the dirty-extent flip: the space
+// a collection flips to is cleared exactly as far as the mutator wrote
+// when it last allocated there, whatever the lengths of the phases on
+// either side.
+func TestFlipClearsWhatWasDirtied(t *testing.T) {
+	t.Run("short run after a full one", func(t *testing.T) {
+		w := newFlipWorld(t, 600, 0)
+		if got := w.run(1000); got != 100 {
+			t.Fatalf("filled the 300-word semispace with %d records, want 100", got)
+		}
+		w.collect(3) // space A dirty to its end; now allocating in B
+		w.run(2)
+		w.collect(4) // back to A: everything past 4 survivors is stale
+		w.run(2)
+		w.collect(1) // back to B: it was dirtied for only 5 records
+	})
+	t.Run("full run after a short one", func(t *testing.T) {
+		w := newFlipWorld(t, 600, 0)
+		w.run(2)
+		w.collect(2)
+		if got := w.run(1000); got != 98 {
+			t.Fatalf("filled the rest of the semispace with %d records, want 98", got)
+		}
+		w.collect(50) // to A, dirtied for 2 records: the survivors overrun its mark
+		w.run(1000)
+		w.collect(0) // to B, dirty to its end, nothing survives
+		if w.h.Alloc != w.h.FromLo {
+			t.Fatalf("alloc %d after an empty collection, want %d", w.h.Alloc, w.h.FromLo)
+		}
+	})
+	t.Run("quota below the semispace end", func(t *testing.T) {
+		w := newFlipWorld(t, 600, 30)
+		for round := 0; round < 6; round++ {
+			if got := w.run(1000); len(w.live) != 10 {
+				t.Fatalf("round %d: %d live records after allocating %d, want the quota's 10", round, len(w.live), got)
+			}
+			w.collect(round % 4)
+		}
+		if w.h.Limit != w.h.FromLo+30 {
+			t.Fatalf("limit %d, want %d", w.h.Limit, w.h.FromLo+30)
+		}
+	})
+	t.Run("alternating long and short phases", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		w := newFlipWorld(t, 2000, 0)
+		for round := 0; round < 200; round++ {
+			n := 1 + rng.Intn(4)
+			if round%3 == 0 {
+				n = 50 + rng.Intn(400)
+			}
+			w.run(n)
+			w.collect(rng.Intn(len(w.live) + 1))
+		}
+	})
+}
+
+// TestCheckRejectsDirtyFreeSpace: Check must see a stray word anywhere
+// in [Alloc, Limit) — the allocators hand that memory out as zeroed.
+func TestCheckRejectsDirtyFreeSpace(t *testing.T) {
+	w := newFlipWorld(t, 600, 0)
+	w.run(5)
+	w.collect(2)
+	for _, at := range []int64{w.h.Alloc, w.h.Alloc + 17, w.h.Limit - 1} {
+		w.h.Mem[at] = 1
+		if err := w.h.Check(); err == nil {
+			t.Errorf("Check accepted a nonzero word at %d (alloc %d, limit %d)", at, w.h.Alloc, w.h.Limit)
+		}
+		w.h.Mem[at] ^= 1
+	}
+	if err := w.h.Check(); err != nil {
+		t.Fatalf("Check after restoring the words: %v", err)
+	}
+}
