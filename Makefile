@@ -8,9 +8,9 @@ GO ?= go
 # targets, so the gate costs about twice this.
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet vet-gcverify lint build test race test-all bench-telemetry bench-check bench-smoke serve-smoke verify-smoke heaplive-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke diff-smoke cover
+.PHONY: check fmt vet vet-gcverify lint build test race allocs test-all bench-telemetry bench-check bench-smoke serve-smoke verify-smoke heaplive-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke diff-smoke cover
 
-check: fmt vet vet-gcverify lint build race test-all serve-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke
+check: fmt vet vet-gcverify lint build race allocs test-all serve-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -38,9 +38,17 @@ build:
 # Race slice: the concurrent subsystems — the decode cache and parallel
 # stack walker (gctab, gc), the mark bitmap the trace workers race on
 # (heap), the generational collector that walks through them (gengc),
-# and the telemetry tracer they all feed.
+# the telemetry tracer they all feed, and what many goroutines share at
+# serving time: the per-program dispatch table (vmachine, driver) and
+# the tenant scheduler with its slice-boundary stat rows (gcserve).
 race:
-	$(GO) test -race ./internal/telemetry/... ./internal/heap/... ./internal/gc/... ./internal/gctab/... ./internal/gengc/...
+	$(GO) test -race ./internal/telemetry/... ./internal/heap/... ./internal/gc/... ./internal/gctab/... ./internal/gengc/... ./internal/vmachine/... ./internal/driver/... ./internal/gcserve/...
+
+# The zero-allocation guards in one command: a steady-state collection
+# (gc), a steady-state minor (gengc), and a scheduler slice with its
+# stat-row update (gcserve) must not allocate.
+allocs:
+	$(GO) test -count=1 -run Allocs ./internal/gc ./internal/gengc ./internal/gcserve
 
 test-all:
 	$(GO) test ./...

@@ -106,7 +106,7 @@ func NewOptions() Options {
 // any number of machines (NewMachine and friends): the Prog, Tables,
 // and Encoded stream are immutable after Compile, which is what lets a
 // multi-tenant host share them — and one memoizing decoder
-// (SharedDecoder) — across every instance.
+// (SharedDecoder) and one dispatch table — across every instance.
 type Compiled struct {
 	Opts    Options
 	IR      *ir.Program
@@ -116,6 +116,9 @@ type Compiled struct {
 
 	sharedOnce sync.Once
 	shared     *gctab.CachedDecoder
+
+	dispatchOnce sync.Once
+	dispatch     *vmachine.DispatchTable
 }
 
 // Compile runs the pipeline over one module's source text.
@@ -205,6 +208,21 @@ func (c *Compiled) SharedDecoder() *gctab.CachedDecoder {
 	return c.shared
 }
 
+// enableDispatch puts m on the module's threaded-dispatch table when the
+// options ask for one. The table is built on first use and shared by
+// every machine of this Compiled: its handlers depend on the program
+// alone. Call after the allocator is attached (it arms the allocation
+// fast path per machine).
+func (c *Compiled) enableDispatch(m *vmachine.Machine) {
+	if !c.Opts.ThreadedDispatch {
+		return
+	}
+	c.dispatchOnce.Do(func() {
+		c.dispatch = vmachine.NewDispatchTable(c.Prog, vmachine.DefaultFusions())
+	})
+	m.EnableThreadedDispatch(c.dispatch)
+}
+
 // NewMachine builds a machine running under the precise compacting
 // collector and spawns the main thread. Each call creates an
 // independent instance (own memory, heap, decoder) from the shared
@@ -233,11 +251,7 @@ func (c *Compiled) NewMachineWithDecoder(cfg vmachine.Config, dec gctab.TableDec
 	col.SetTracer(cfg.Tel)
 	m.Alloc = h
 	m.Collector = col
-	if c.Opts.ThreadedDispatch {
-		// After the allocator is attached: the builder snapshots the
-		// concrete heap for the allocation fast path.
-		m.EnableThreadedDispatch(vmachine.DefaultFusions())
-	}
+	c.enableDispatch(m)
 	if _, err := m.Spawn(c.Prog.MainProc); err != nil {
 		return nil, nil, err
 	}
@@ -275,9 +289,7 @@ func (c *Compiled) NewGenerationalMachineWithDecoder(cfg vmachine.Config, dec gc
 	m.Alloc = h
 	m.Collector = col
 	m.Barrier = col.Barrier
-	if c.Opts.ThreadedDispatch {
-		m.EnableThreadedDispatch(vmachine.DefaultFusions())
-	}
+	c.enableDispatch(m)
 	if _, err := m.Spawn(c.Prog.MainProc); err != nil {
 		return nil, nil, err
 	}
@@ -293,11 +305,9 @@ func (c *Compiled) NewConservativeMachine(cfg vmachine.Config) (*vmachine.Machin
 	h.SetTracer(cfg.Tel)
 	m.Alloc = h
 	m.Collector = h
-	if c.Opts.ThreadedDispatch {
-		// The conservative free-list heap is not the semispace heap, so
-		// the fast path stays disarmed; dispatch still threads.
-		m.EnableThreadedDispatch(vmachine.DefaultFusions())
-	}
+	// The conservative free-list heap is not the semispace heap, so the
+	// allocation fast path stays disarmed; dispatch still threads.
+	c.enableDispatch(m)
 	if _, err := m.Spawn(c.Prog.MainProc); err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gctab"
@@ -102,6 +103,62 @@ func TestSharedDecoderAcrossInstances(t *testing.T) {
 		if sb.String() != "820\n" {
 			t.Errorf("shared-decoder instance %d: output %q", i, sb.String())
 		}
+	}
+}
+
+// TestDispatchTableBuiltOnce: machines instantiated concurrently from
+// one Compiled — every collector flavour — land on one dispatch table,
+// built by whichever came first, and a switch-interpreter compile builds
+// none.
+func TestDispatchTableBuiltOnce(t *testing.T) {
+	opts := NewOptions()
+	opts.Generational = true
+	c, err := Compile("test.m3", growSrc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vmachine.DefaultConfig()
+	cfg.HeapWords = 2048
+	tables := make([]*vmachine.DispatchTable, 9)
+	var wg sync.WaitGroup
+	for i := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var m *vmachine.Machine
+			var err error
+			switch i % 3 {
+			case 0:
+				m, _, err = c.NewMachine(cfg)
+			case 1:
+				m, _, err = c.NewGenerationalMachine(cfg)
+			default:
+				m, _, err = c.NewConservativeMachine(cfg)
+			}
+			if err != nil || !m.ThreadedDispatch() || m.Fused == 0 {
+				t.Errorf("instance %d: err=%v, want a machine on the fused threaded table", i, err)
+				return
+			}
+			tables[i] = c.dispatch
+			if err := m.Run(0); err != nil {
+				t.Errorf("instance %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, tab := range tables {
+		if tab == nil || tab != tables[0] {
+			t.Errorf("instance %d saw dispatch table %p, instance 0 %p", i, tab, tables[0])
+		}
+	}
+
+	opts.ThreadedDispatch = false
+	sw, err := Compile("test.m3", growSrc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _, err := sw.NewMachine(cfg); err != nil || m.ThreadedDispatch() || sw.dispatch != nil {
+		t.Errorf("switch compile: err=%v threaded=%v table=%p", err, m.ThreadedDispatch(), sw.dispatch)
 	}
 }
 

@@ -67,6 +67,12 @@ type concCycle struct {
 	// serial scan's pointer-offsets buffer.
 	batch, offs []int64
 
+	// start is the cycle's initial pause: mark bursts time themselves
+	// against it (time.Since of a monotonic reading is one clock read,
+	// time.Now is two), which is most of a burst that scans a handful of
+	// barrier-logged entries.
+	start time.Time
+
 	// The machine hooks, bound once per collector (a method value
 	// allocates each time it is taken).
 	satbHook  func(old int64)
@@ -111,7 +117,8 @@ func (c *Collector) ShouldTriggerCycle() bool {
 // at a gc-point or the machine single-threaded inline path).
 func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	start := time.Now()
-	defer func() { c.TotalTime += time.Since(start) }()
+	started := false
+	defer c.endStall(start, &started, false) // the initial root scan stalls mutators
 	h := c.Heap
 	tid := curThread(m)
 	var telStart int64
@@ -141,6 +148,7 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	// so the values can be claimed directly without adjustment.
 	cyc := &c.cycle
 	cyc.gray, cyc.satb = cyc.gray[:0], cyc.satb[:0]
+	cyc.start = start
 	if cyc.satbHook == nil {
 		cyc.satbHook, cyc.allocHook = c.satbRecord, c.blackAlloc
 	}
@@ -162,6 +170,7 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 		// the pause distribution.
 		c.hPause.Observe(c.Tel.Now() - telStart)
 	}
+	started = true
 	return nil
 }
 
@@ -208,11 +217,7 @@ func (c *Collector) MarkStep(m *vmachine.Machine) (bool, error) {
 	if len(cyc.gray) == 0 {
 		return true, nil
 	}
-	var telStart int64
-	if c.Tel != nil {
-		telStart = c.Tel.Now()
-	}
-	t0 := time.Now()
+	t0 := time.Since(cyc.start)
 
 	budget := c.MarkBudget
 	if budget <= 0 {
@@ -231,14 +236,15 @@ func (c *Collector) MarkStep(m *vmachine.Machine) (bool, error) {
 	cyc.gray = cyc.gray[:keep]
 	c.scanBatch(cyc.batch)
 
-	c.ConcMarkTime += time.Since(t0)
+	burst := time.Since(cyc.start) - t0
+	c.ConcMarkTime += burst
+	// A burst stalls mutators too (they are descheduled while it runs),
+	// so it belongs in the pause distribution — that is the point of
+	// bounding it.
+	c.observePause(burst, false)
 	if c.Tel != nil {
-		burst := c.Tel.Now() - telStart
-		c.hConcMark.Observe(burst)
-		// A burst stalls mutators too (they are descheduled while it
-		// runs), so it belongs in the pause distribution — that is the
-		// point of bounding it.
-		c.hPause.Observe(burst)
+		c.hConcMark.Observe(int64(burst))
+		c.hPause.Observe(int64(burst))
 	}
 	return len(cyc.gray) == 0 && len(cyc.satb) == 0, nil
 }
@@ -402,7 +408,9 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 		c.gLiveObjects.Set(h.LiveObjects)
 		c.gCollections.Set(h.Collections)
 	}
-	c.FinalPauseTime += time.Since(start)
+	final := time.Since(start)
+	c.FinalPauseTime += final
+	c.observePause(final, true)
 	return nil
 }
 

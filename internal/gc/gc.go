@@ -82,6 +82,16 @@ type Collector struct {
 	ConcMarkTime   time.Duration
 	FinalPauseTime time.Duration
 
+	// Pauses and FinalPauses, when non-nil, observe the stalls the
+	// collector already times for TotalTime, ConcMarkTime and
+	// FinalPauseTime, so observing adds no clock read: Pauses sees every
+	// mutator stall (a whole stop-the-world collection, an initial pause,
+	// each mark burst, a final pause), FinalPauses the stop a full
+	// collection ends with — all of a stop-the-world one. A host that
+	// wants a pause distribution per machine without a tracer per machine
+	// (gcserve) owns the histograms and points the collector at them.
+	Pauses, FinalPauses *telemetry.Histogram
+
 	// cyc is the in-flight concurrent cycle, nil outside one; cycle is
 	// its recycled storage.
 	cyc   *concCycle
@@ -204,8 +214,8 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	if c.ShouldStartCycle() {
 		return c.collectSplit(m)
 	}
-	start := time.Now()
-	defer func() { c.TotalTime += time.Since(start) }()
+	collected := false
+	defer c.endStall(time.Now(), &collected, c.Mode == ModeFull)
 	if c.Mode == ModeNull {
 		return nil
 	}
@@ -272,7 +282,28 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 		c.gLiveObjects.Set(c.Heap.LiveObjects)
 		c.gCollections.Set(c.Heap.Collections)
 	}
+	collected = true
 	return nil
+}
+
+// endStall, deferred with the stall's start, accrues its duration to
+// TotalTime and, if the stall ran to completion (*done), observes it.
+func (c *Collector) endStall(start time.Time, done *bool, final bool) {
+	d := time.Since(start)
+	c.TotalTime += d
+	if *done {
+		c.observePause(d, final)
+	}
+}
+
+// observePause records one completed stall of duration d in the host's
+// histograms (nil histograms ignore it); final marks the stop that ends
+// a full collection.
+func (c *Collector) observePause(d time.Duration, final bool) {
+	c.Pauses.Observe(int64(d))
+	if final {
+		c.FinalPauses.Observe(int64(d))
+	}
 }
 
 // copySpace aims the collector's CopySpace at the from-space span

@@ -43,11 +43,14 @@ func (s *Server) RunProgram(name string) (RunResult, error) {
 		return RunResult{}, err
 	}
 	s.mu.Lock()
-	s.requests++
-	t.scheduled = true
+	if s.closed {
+		s.mu.Unlock()
+		s.release()
+		return RunResult{}, ErrShutdown
+	}
 	s.pool[t.id] = t
+	s.enqueueLocked(t)
 	s.mu.Unlock()
-	s.enqueue(t)
 	r := <-t.waiter
 	s.retire(t, r)
 	return publish(t, r), nil
@@ -78,7 +81,14 @@ func (s *Server) OpenSession(name string) (string, error) {
 // Config.SessionGrant) and returns its state when it halts, traps, or
 // exhausts the grant at a gc-point. Output is cumulative.
 func (s *Server) Resume(id string, grant int64) (RunResult, error) {
+	if grant <= 0 {
+		grant = s.cfg.SessionGrant
+	}
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return RunResult{}, ErrShutdown
+	}
 	t := s.pool[id]
 	if t == nil || !t.session {
 		s.mu.Unlock()
@@ -88,14 +98,10 @@ func (s *Server) Resume(id string, grant int64) (RunResult, error) {
 		s.mu.Unlock()
 		return RunResult{}, fmt.Errorf("gcserve: session %q already scheduled", id)
 	}
-	t.scheduled = true
-	s.requests++
-	s.mu.Unlock()
-	if grant <= 0 {
-		grant = s.cfg.SessionGrant
-	}
+	// Not scheduled, so no worker holds t: the grant is ours to set.
 	t.grant = grant
-	s.enqueue(t)
+	s.enqueueLocked(t)
+	s.mu.Unlock()
 	r := <-t.waiter
 	s.mu.Lock()
 	t.scheduled = false
@@ -125,13 +131,14 @@ func (s *Server) CloseSession(id string) error {
 	return nil
 }
 
-// enqueue hands t to the scheduler, failing it on shutdown.
-func (s *Server) enqueue(t *tenant) {
-	select {
-	case s.runq <- t:
-	case <-s.quit:
-		t.finish(resultOf(t, ErrShutdown))
-	}
+// enqueueLocked counts a request and queues its tenant. The caller holds
+// s.mu and saw closed false under it; Close sets closed under the same
+// lock before it drains, so the tenant is refused up front or failed by
+// that drain, never stranded. The send cannot block: runq fits every tenant.
+func (s *Server) enqueueLocked(t *tenant) {
+	s.requests++
+	t.scheduled = true
+	s.runq <- t
 }
 
 // retire removes a completed tenant, releases its memory reservation,
@@ -169,14 +176,8 @@ func publish(t *tenant, r result) RunResult {
 		Slices:      r.Slices,
 		Done:        r.Done,
 	}
-	if r.Err != nil {
-		if rte := trapOf(r.Err); rte != nil {
-			out.Trap = rte.Code.String()
-		} else {
-			out.Trap = r.Err.Error()
-		}
-		out.QuotaTrap = IsQuotaTrap(r.Err)
-	}
+	out.Trap = trapName(r.Err)
+	out.QuotaTrap = IsQuotaTrap(r.Err)
 	return out
 }
 
@@ -200,8 +201,8 @@ type PauseStat struct {
 	MaxNs  int64 `json:"max_ns"`
 }
 
-func pauseStat(snap telemetry.Snapshot, hist string) PauseStat {
-	h := snap.Histograms[hist]
+func pauseStat(hist *telemetry.Histogram) PauseStat {
+	h := hist.Snapshot()
 	return PauseStat{Count: h.Count, MeanNs: h.Mean(), P50Ns: h.P50, P99Ns: h.P99, MaxNs: h.Max}
 }
 
@@ -262,14 +263,17 @@ func (s *Server) Snapshot() Statz {
 		Refused:       s.refused,
 	}
 	z.Tenants = append(z.Tenants, s.completed...)
+	residents := make(map[*tenant]string, len(s.pool))
 	for _, t := range s.pool {
-		state := "idle"
+		residents[t] = "idle"
 		if t.scheduled {
-			state = "running"
+			residents[t] = "running"
 		}
-		z.Tenants = append(z.Tenants, t.snapStat(state))
 	}
 	s.mu.Unlock()
+	for t, state := range residents { // quantiles: not under the lock every request takes
+		z.Tenants = append(z.Tenants, t.snapStat(state))
+	}
 	sort.Slice(z.Tenants, func(i, j int) bool { return z.Tenants[i].ID < z.Tenants[j].ID })
 	z.Programs = s.Programs()
 	if s.tel != nil {

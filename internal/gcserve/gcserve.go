@@ -13,8 +13,9 @@
 // Isolation is per-machine: every tenant owns its memory image, its
 // semispace heap (capped by a per-tenant quota that traps as
 // TrapQuotaExceeded, a tenant-level failure, never a process death),
-// and its telemetry tracer (pause histograms and heap counters labeled
-// by tenant in the /statz snapshot).
+// and two pause histograms its collector observes into. Tenant machines
+// carry no tracer: a /statz row is the machine's and collector's own
+// counters, copied at each slice boundary, quantiles computed on read.
 //
 // Scheduling is cooperative: tenants execute in fuel-budgeted slices
 // that yield at blocking gc-points (vmachine.RunFuel), the same §5.3
@@ -63,9 +64,6 @@ type Config struct {
 	// (0 = unlimited) so a runaway program cannot hold its slot
 	// forever.
 	MaxRunSteps int64
-	// RingSize is the per-tenant telemetry event ring (default 512;
-	// tenants are many, rings are small).
-	RingSize int
 	// KeepStats bounds retained per-tenant stats of completed one-shot
 	// runs (default 1024).
 	KeepStats int
@@ -108,9 +106,6 @@ func (c *Config) fill() {
 	}
 	if c.SessionGrant <= 0 {
 		c.SessionGrant = 1_000_000
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 512
 	}
 	if c.KeepStats <= 0 {
 		c.KeepStats = 1024

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/gengc"
 	"repro/internal/telemetry"
 	"repro/internal/vmachine"
 )
@@ -18,11 +19,11 @@ type heapStats interface {
 }
 
 // tenant is one resident machine: its isolated memory image, heap,
-// collector, per-tenant tracer, and scheduling state. A tenant is
+// collector, pause histograms, and scheduling state. A tenant is
 // owned by at most one scheduler worker at a time — it is either
 // queued (once), running a slice, or parked awaiting a resume — so
-// its fields need no lock of their own except the output buffer the
-// HTTP side reads concurrently.
+// its fields need no lock of their own except what the HTTP side reads
+// concurrently: the output buffer, the stat row, the atomic histograms.
 type tenant struct {
 	id      string
 	prog    *program
@@ -30,8 +31,12 @@ type tenant struct {
 
 	m    *vmachine.Machine
 	heap heapStats
-	tel  *telemetry.Tracer
+	gen  *gengc.Collector // the minor/major split; nil under the full collector
 	out  lockedBuffer
+
+	// All the telemetry a tenant carries: its collector observes the
+	// stalls it already times into these; the machine runs untraced.
+	pauses, finalPauses telemetry.Histogram
 
 	grant  int64 // steps remaining for the current request (0 = until done)
 	slices int64
@@ -48,49 +53,37 @@ type tenant struct {
 	finished bool
 	err      error
 
-	// stat is the tenant's last slice-boundary snapshot. The owning
-	// worker refreshes it between slices; /statz readers take the cache
-	// instead of racing the live machine.
+	// stat is the tenant's last slice-boundary snapshot, less the pause
+	// rows. The owning worker refreshes it between slices; /statz readers
+	// take the cache instead of racing the live machine.
 	statMu sync.Mutex
 	stat   TenantStat
 }
 
-// updateStat refreshes the cached stat row. Only the goroutine owning
-// the tenant (its scheduler worker, or the request goroutine before
-// first enqueue) may call it, because it reads the live machine.
+// updateStat refreshes the cached stat row — a few integers, nothing
+// allocated: it runs after every slice. Only the goroutine owning the
+// tenant (its scheduler worker, or the request goroutine before first
+// enqueue) may call it, because it reads the live machine.
 func (t *tenant) updateStat(err error) {
-	snap := t.tel.Snapshot()
-	st := TenantStat{
-		ID:          t.id,
-		Program:     t.prog.name,
-		Session:     t.session,
-		Steps:       t.m.Steps,
-		Collections: t.m.GCCount,
-		Slices:      t.slices,
-		LiveBytes:   t.heap.LiveBytes(),
-		AllocBytes:  t.heap.AllocatedBytes(),
-		Minor:       snap.Counter(telemetry.CtrGenMinor),
-		Major:       snap.Counter(telemetry.CtrGenMajor),
-		Pauses:      pauseStat(snap, telemetry.HistGCPauseNs),
-		FinalPauses: pauseStat(snap, telemetry.HistGCFinalPauseNs),
-	}
-	if rte := trapOf(err); rte != nil {
-		st.Trap = rte.Code.String()
-	} else if err != nil {
-		st.Trap = err.Error()
-	}
 	t.statMu.Lock()
-	t.stat = st
+	st := &t.stat
+	st.Steps, st.Collections, st.Slices = t.m.Steps, t.m.GCCount, t.slices
+	st.LiveBytes, st.AllocBytes = t.heap.LiveBytes(), t.heap.AllocatedBytes()
+	if t.gen != nil {
+		st.Minor, st.Major = t.gen.Minor, t.gen.Major
+	}
+	st.Trap = trapName(err)
 	t.statMu.Unlock()
 }
 
-// snapStat returns the cached stat row with the given state label.
-// Safe from any goroutine.
+// snapStat returns the cached row under the given state label, with the
+// pause quantiles computed now, on read. Safe from any goroutine.
 func (t *tenant) snapStat(state string) TenantStat {
 	t.statMu.Lock()
 	st := t.stat
 	t.statMu.Unlock()
 	st.State = state
+	st.Pauses, st.FinalPauses = pauseStat(&t.pauses), pauseStat(&t.finalPauses)
 	return st
 }
 
@@ -149,15 +142,15 @@ func (t *tenant) park() {
 }
 
 // newTenant instantiates a machine for p from the shared compile
-// artifact: fresh memory image, per-instance heap quota, per-tenant
-// tracer, and the process-shared pinned decoder.
+// artifact: fresh memory image, per-instance heap quota, no tracer, and
+// the process-shared pinned decoder and dispatch table.
 func (s *Server) newTenant(p *program, id string, session bool) (*tenant, error) {
 	t := &tenant{
 		id:      id,
 		prog:    p,
 		session: session,
-		tel:     telemetry.New(telemetry.Config{RingSize: s.cfg.RingSize}),
 		waiter:  make(chan result, 1),
+		stat:    TenantStat{ID: id, Program: p.name, Session: session},
 	}
 	cfg := vmachine.Config{
 		HeapWords:  s.cfg.HeapWords,
@@ -165,19 +158,20 @@ func (s *Server) newTenant(p *program, id string, session bool) (*tenant, error)
 		StackWords: s.cfg.StackWords,
 		MaxThreads: 1,
 		Out:        &t.out,
-		Tel:        t.tel,
 	}
 	if s.cfg.Generational {
 		m, col, err := p.c.NewGenerationalMachineWithDecoder(cfg, p.dec)
 		if err != nil {
 			return nil, err
 		}
-		t.m, t.heap = m, col.Heap
+		col.Pauses, col.FinalPauses = &t.pauses, &t.finalPauses
+		t.m, t.heap, t.gen = m, col.Heap, col
 	} else {
 		m, col, err := p.c.NewMachineWithDecoder(cfg, p.dec)
 		if err != nil {
 			return nil, err
 		}
+		col.Pauses, col.FinalPauses = &t.pauses, &t.finalPauses
 		t.m, t.heap = m, col.Heap
 	}
 	t.updateStat(nil)
@@ -190,11 +184,15 @@ func IsQuotaTrap(err error) bool {
 	return errors.As(err, &rte) && rte.Code == vmachine.TrapQuotaExceeded
 }
 
-// trapOf extracts a RuntimeError, or nil.
-func trapOf(err error) *vmachine.RuntimeError {
+// trapName is a tenant failure on the wire: a runtime error's trap
+// code, any other error's text, empty for none.
+func trapName(err error) string {
+	if err == nil {
+		return ""
+	}
 	var rte *vmachine.RuntimeError
 	if errors.As(err, &rte) {
-		return rte
+		return rte.Code.String()
 	}
-	return nil
+	return err.Error()
 }

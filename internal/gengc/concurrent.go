@@ -37,6 +37,9 @@ import (
 type concCycle struct {
 	gray []int64
 	satb []int64
+	// start is the cycle's initial pause; mark bursts time themselves
+	// against it with one monotonic clock read each end.
+	start time.Time
 }
 
 // ShouldStartCycle implements vmachine.ConcurrentCollector: only the
@@ -54,7 +57,8 @@ func (c *Collector) ShouldStartCycle() bool {
 // pause of a concurrent major. Must run at a safepoint.
 func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	start := time.Now()
-	defer func() { c.TotalTime += time.Since(start) }()
+	started := false
+	defer c.endStall(start, &started, false)
 	h := c.Heap
 	h.pendingOld = false
 	if len(c.remset) > c.RemsetPeak {
@@ -88,7 +92,7 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	// slots (harmless duplication: every remembered value is also
 	// reachable by scanning its old-space holder, but seeding it keeps
 	// the barrier invariant locally checkable).
-	cyc := &concCycle{}
+	cyc := &concCycle{start: start}
 	for _, p := range c.rootsWithRemset(m) {
 		v := *p
 		if v != 0 && h.Contains(v) && c.marks.ClaimSerial(v) {
@@ -105,6 +109,7 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 		c.hWalk.Observe(int64(walkTime))
 		c.hPause.Observe(c.Tel.Now() - telStart)
 	}
+	started = true
 	return nil
 }
 
@@ -144,11 +149,7 @@ func (c *Collector) MarkStep(m *vmachine.Machine) (bool, error) {
 	if len(cyc.gray) == 0 {
 		return true, nil
 	}
-	var telStart int64
-	if c.Tel != nil {
-		telStart = c.Tel.Now()
-	}
-	t0 := time.Now()
+	t0 := time.Since(cyc.start)
 	budget := c.MarkBudget
 	if budget <= 0 {
 		budget = gc.DefaultMarkBudget
@@ -166,11 +167,12 @@ func (c *Collector) MarkStep(m *vmachine.Machine) (bool, error) {
 	batch := cyc.gray[keep:]
 	cyc.gray = cyc.gray[:keep:keep]
 	c.scanBatch(batch)
-	c.ConcMarkTime += time.Since(t0)
+	burst := time.Since(cyc.start) - t0
+	c.ConcMarkTime += burst
+	c.observePause(burst, false)
 	if c.Tel != nil {
-		burst := c.Tel.Now() - telStart
-		c.hConcMark.Observe(burst)
-		c.hPause.Observe(burst)
+		c.hConcMark.Observe(int64(burst))
+		c.hPause.Observe(int64(burst))
 	}
 	return len(cyc.gray) == 0 && len(cyc.satb) == 0, nil
 }
@@ -279,7 +281,9 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 		c.gBarChecks.Set(c.BarrierChecks)
 		c.gBarHits.Set(c.BarrierHits)
 	}
-	c.FinalPauseTime += time.Since(start)
+	final := time.Since(start)
+	c.FinalPauseTime += final
+	c.observePause(final, true)
 	return nil
 }
 

@@ -258,6 +258,11 @@ type Collector struct {
 	ConcMarkTime   time.Duration
 	FinalPauseTime time.Duration
 
+	// Pauses and FinalPauses, when non-nil, observe the stalls already
+	// timed for TotalTime, ConcMarkTime and FinalPauseTime (see
+	// gc.Collector.Pauses): no tracer, no extra clock read.
+	Pauses, FinalPauses *telemetry.Histogram
+
 	// Tel, when non-nil, receives per-cycle events and metrics. The
 	// barrier itself stays probe-free (it runs on every barriered
 	// store); its cumulative counts are published as gauges per cycle.
@@ -367,8 +372,8 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	if c.ShouldStartCycle() {
 		return c.collectSplit(m)
 	}
-	start := time.Now()
-	defer func() { c.TotalTime += time.Since(start) }()
+	collected := false
+	defer c.endStall(time.Now(), &collected, true)
 
 	if len(c.remset) > c.RemsetPeak {
 		c.RemsetPeak = len(c.remset)
@@ -461,7 +466,28 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 		c.gBarChecks.Set(c.BarrierChecks)
 		c.gBarHits.Set(c.BarrierHits)
 	}
+	collected = true
 	return nil
+}
+
+// endStall, deferred with the stall's start, accrues its duration to
+// TotalTime and, if the stall ran to completion (*done), observes it.
+func (c *Collector) endStall(start time.Time, done *bool, final bool) {
+	d := time.Since(start)
+	c.TotalTime += d
+	if *done {
+		c.observePause(d, final)
+	}
+}
+
+// observePause records one completed stall of duration d in the host's
+// histograms (nil histograms ignore it); final marks the stop that ends
+// a collection.
+func (c *Collector) observePause(d time.Duration, final bool) {
+	c.Pauses.Observe(int64(d))
+	if final {
+		c.FinalPauses.Observe(int64(d))
+	}
 }
 
 // rootsWithRemset is the collection's root list: the precise roots

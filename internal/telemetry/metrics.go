@@ -56,7 +56,8 @@ func (g *Gauge) Value() int64 {
 const histBuckets = 65
 
 // Histogram records a distribution of non-negative int64 values
-// (durations in ns, sizes in bytes) in power-of-two buckets.
+// (durations in ns, sizes in bytes) in power-of-two buckets. The zero
+// value is usable: a gcserve tenant holds two by value and no tracer.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -101,7 +102,9 @@ func (s HistSnap) Mean() int64 {
 	return s.Sum / s.Count
 }
 
-func (h *Histogram) snap() HistSnap {
+// Snapshot reads the histogram and computes its quantiles, at the
+// reader's cost. Concurrent Observes may race ahead of the copy.
+func (h *Histogram) Snapshot() HistSnap {
 	s := HistSnap{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
 	s.P50 = h.quantile(s.Count, 0.50)
 	s.P99 = h.quantile(s.Count, 0.99)
@@ -233,7 +236,7 @@ func (t *Tracer) Snapshot() Snapshot {
 		s.Gauges[n] = g.Value()
 	}
 	for n, h := range t.hists {
-		s.Histograms[n] = h.snap()
+		s.Histograms[n] = h.Snapshot()
 	}
 	s.Emitted = t.Emitted()
 	s.Dropped = t.Dropped()

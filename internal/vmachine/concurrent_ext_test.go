@@ -11,6 +11,7 @@ package vmachine_test
 // because the driver depends on vmachine.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -97,7 +98,7 @@ func runConcSched(t *testing.T, c *driver.Compiled, threaded bool) sweepRun {
 	if col.Cycles == 0 {
 		t.Fatalf("threaded=%v: no concurrent cycles on a 1024-word heap", threaded)
 	}
-	return sweepRun{out: sb.String(), steps: m.Steps, gcs: m.GCCount, heapHash: hashHeap(m)}
+	return sweepRun{out: sb.String(), steps: m.Steps, gcs: m.GCCount, heapHash: hashHeap(m), opCounts: m.OpCounts()}
 }
 
 func TestConcurrentSchedulerDispatchAgreement(t *testing.T) {
@@ -113,7 +114,7 @@ func TestConcurrentSchedulerDispatchAgreement(t *testing.T) {
 	if sw.out != concSchedWant {
 		t.Errorf("switch output %q, want %q", sw.out, concSchedWant)
 	}
-	if sw != th {
+	if !reflect.DeepEqual(sw, th) {
 		t.Errorf("dispatchers diverged under concurrent marking:\n switch  %+v\n threaded %+v", sw, th)
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // Threaded dispatch: instead of re-decoding each instruction through
-// the 50-case switch in stepSwitch, EnableThreadedDispatch resolves a
-// per-instruction handler table once at load time. Each entry is a
+// the 50-case switch in stepSwitch, NewDispatchTable resolves a
+// per-instruction handler table once per program. Each entry is a
 // func value (Ertl/Gregg-style indirect threading), with three extra
 // levers the switch cannot pull:
 //
@@ -41,7 +41,7 @@ type handlerFn func(*Machine, *Thread, *Instr) error
 type tentry struct {
 	fn handlerFn
 	// alt is the unfused single-instruction handler, used when a fused
-	// entry cannot run (telemetry attached, quantum or step-limit
+	// entry cannot run (PC sampling on, or a quantum, fuel or step-limit
 	// boundary inside the pair). nil for n==1 entries.
 	alt handlerFn
 	// ip caches &Prog.Code[i] so the hot loop does one table load.
@@ -136,26 +136,33 @@ func canFuseSecond(op Op) bool {
 	return op < numOps
 }
 
-// EnableThreadedDispatch builds the threaded-dispatch table for the
-// loaded program and switches the machine onto it. Call after the
-// allocator is attached: the builder snapshots whether m.Alloc is the
-// concrete semispace heap to arm the allocation fast path. fusions may
-// be nil (no superinstructions). The zero-value machine keeps the
-// switch interpreter, so differential runs can compare both.
-func (m *Machine) EnableThreadedDispatch(fusions []Fusion) {
-	p := m.Prog
-	m.fastHeap, _ = m.Alloc.(*heap.Heap)
+// DispatchTable is one program's threaded-dispatch table. Handlers take
+// the machine as an argument and capture only program constants
+// (resolved targets, descriptor sizes, operand fields), so the table is
+// immutable once built and every machine running the program shares it:
+// build it once per program (driver.Compiled does), not once per
+// machine.
+type DispatchTable struct {
+	prog    *Program
+	entries []tentry
+	// retIdx maps byte PCs to instruction indices for RET (-1 = not an
+	// instruction start), replacing the switch's IdxOf map lookup on
+	// every return; RET traps on -1 exactly like the map miss.
+	retIdx []int32
+	// fused counts the superinstruction sites.
+	fused int
+}
 
-	// Dense byte-PC → instruction-index table for RET (the switch does
-	// a map lookup per return). -1 marks byte PCs that are not
-	// instruction starts; RET traps on them exactly like the map miss.
-	m.retIdx = make([]int32, len(p.CodeBytes)+1)
-	for i := range m.retIdx {
-		m.retIdx[i] = -1
+// NewDispatchTable resolves p's per-instruction handlers and combines
+// the adjacent pairs named by fusions (nil = no superinstructions).
+func NewDispatchTable(p *Program, fusions []Fusion) *DispatchTable {
+	tab := &DispatchTable{prog: p, retIdx: make([]int32, len(p.CodeBytes)+1)}
+	for i := range tab.retIdx {
+		tab.retIdx[i] = -1
 	}
 	for pc, idx := range p.IdxOf {
-		if pc >= 0 && pc < len(m.retIdx) {
-			m.retIdx[pc] = int32(idx)
+		if pc >= 0 && pc < len(tab.retIdx) {
+			tab.retIdx[pc] = int32(idx)
 		}
 	}
 
@@ -175,7 +182,6 @@ func (m *Machine) EnableThreadedDispatch(fusions []Fusion) {
 	for _, f := range fusions {
 		fset[f] = true
 	}
-	m.Fused = 0
 	for i := 0; i+1 < len(p.Code); i++ {
 		op1, op2 := p.Code[i].Op, p.Code[i+1].Op
 		if !fset[Fusion{op1, op2}] || !canFuseFirst(op1) || !canFuseSecond(op2) {
@@ -185,9 +191,24 @@ func (m *Machine) EnableThreadedDispatch(fusions []Fusion) {
 		entries[i].alt = single
 		entries[i].fn = buildFused(p, i, single, entries[i+1].fn)
 		entries[i].n = 2
-		m.Fused++
+		tab.fused++
 	}
-	m.threaded = entries
+	tab.entries = entries
+	return tab
+}
+
+// EnableThreadedDispatch switches the machine onto tab, which must have
+// been built for the machine's program. Call after the allocator is
+// attached: whether m.Alloc is the concrete semispace heap, which arms
+// the allocation fast path, is the one thing decided per machine. The
+// zero-value machine keeps the switch interpreter, so differential runs
+// can compare both.
+func (m *Machine) EnableThreadedDispatch(tab *DispatchTable) {
+	if tab.prog != m.Prog {
+		panic("vmachine: dispatch table built for another program")
+	}
+	m.fastHeap, _ = m.Alloc.(*heap.Heap)
+	m.threaded, m.retIdx, m.Fused = tab.entries, tab.retIdx, tab.fused
 }
 
 // ThreadedDispatch reports whether the machine runs on the threaded
@@ -226,11 +247,12 @@ func (m *Machine) stepSlice(t *Thread, budget int64) (int64, error) {
 
 		n := int64(e.n)
 		fn := e.fn
-		if n == 2 && (m.Tel != nil || consumed+2 > budget) {
+		if n == 2 && (consumed+2 > budget || (m.pcSampleEvery > 0 && m.Tel != nil)) {
 			// The pair would straddle the slice boundary (quantum, fuel,
-			// or step limit), or telemetry wants per-instruction counts:
-			// take the single-instruction handler so accounting matches
-			// the switch exactly.
+			// or step limit), or the PC sampler needs every Steps value
+			// to pass through here: take the single-instruction handler
+			// so accounting matches the switch exactly. A tracer alone
+			// keeps the fusion; both opcodes are counted below.
 			fn, n = e.alt, 1
 		}
 		m.Steps += n
@@ -241,10 +263,23 @@ func (m *Machine) stepSlice(t *Thread, budget int64) (int64, error) {
 				m.Tel.SamplePC(int64(m.Prog.PCOf[t.PC]))
 				m.Tel.SamplePair(int64(t.prevOp), int64(op))
 			}
+			m.pairAt = 0
+			if n == 2 {
+				op = m.threaded[t.PC+1].ip.Op
+				m.opCounts[op]++
+				m.pairAt = t.PC + 1
+			}
 			t.prevOp = op
 		}
 		consumed += n
 		if err := fn(m, t, e.ip); err != nil {
+			if m.pairAt == t.PC+1 {
+				// A counted pair trapped in its first half (PC never
+				// left it) and gave its second step back: give back the
+				// count too. Reads only m and t, so nothing more stays
+				// live across the handler call on the hot path.
+				m.opCounts[m.threaded[t.PC+1].ip.Op]--
+			}
 			return consumed, err
 		}
 		if t.Done || t.Blocked {

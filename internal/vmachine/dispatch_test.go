@@ -3,7 +3,10 @@ package vmachine
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -22,7 +25,7 @@ func runBodyDispatch(t *testing.T, body []Instr, frameWords int64, threaded bool
 	m.Alloc = &fixedAlloc{next: m.HeapLo}
 	m.Collector = nopCollector{}
 	if threaded {
-		m.EnableThreadedDispatch(DefaultFusions())
+		m.EnableThreadedDispatch(NewDispatchTable(m.Prog, DefaultFusions()))
 	}
 	if _, err := m.Spawn(0); err != nil {
 		t.Fatal(err)
@@ -72,7 +75,7 @@ func TestDispatchUnknownOpTrapsBoth(t *testing.T) {
 		m.Alloc = &fixedAlloc{next: m.HeapLo}
 		m.Collector = nopCollector{}
 		if threaded {
-			m.EnableThreadedDispatch(DefaultFusions())
+			m.EnableThreadedDispatch(NewDispatchTable(m.Prog, DefaultFusions()))
 		}
 		if _, err := m.Spawn(0); err != nil {
 			t.Fatal(err)
@@ -261,6 +264,148 @@ func TestFusionsFromPairs(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// runBodyTraced is runBodyDispatch with a tracer attached, sampling PCs
+// every sample steps (0 = off). A threaded run also reports how often a
+// fused site fell back to its single-instruction handler.
+func runBodyTraced(t *testing.T, body []Instr, frameWords int64, threaded bool, sample int64) (m *Machine, out string, altCalls int, err error) {
+	t.Helper()
+	prog := buildProgram(t, body, frameWords, 8)
+	var sb strings.Builder
+	m = New(prog, Config{
+		HeapWords: 4096, StackWords: 1024, MaxThreads: 1, Out: &sb, Quantum: 1000,
+		Tel: telemetry.New(telemetry.Config{RingSize: 64}), PCSampleEvery: sample,
+	})
+	m.Alloc = &fixedAlloc{next: m.HeapLo}
+	m.Collector = nopCollector{}
+	if threaded {
+		tab := NewDispatchTable(prog, DefaultFusions())
+		for i := range tab.entries {
+			if alt := tab.entries[i].alt; alt != nil {
+				tab.entries[i].alt = func(m *Machine, t *Thread, in *Instr) error {
+					altCalls++
+					return alt(m, t, in)
+				}
+			}
+		}
+		m.EnableThreadedDispatch(tab)
+	}
+	if _, err := m.Spawn(0); err != nil {
+		t.Fatal(err)
+	}
+	err = m.Run(1_000_000)
+	return m, sb.String(), altCalls, err
+}
+
+// TestDispatchTracedKeepsFusions: a tracer alone no longer costs a
+// machine its superinstructions. With sampling off the fused handlers
+// run (no site falls back) and count both opcodes; with sampling on
+// every step passes through the sampler. Either way the per-opcode
+// counts, step count, output, memory image, samples and trap — first
+// half, second half — equal the switch interpreter's.
+func TestDispatchTracedKeepsFusions(t *testing.T) {
+	cases := fusedPairCases()
+	cases["lockstep"] = lockstepBody()
+	for name, body := range cases {
+		for _, sample := range []int64{0, 1, 3} {
+			t.Run(fmt.Sprintf("%s/sample=%d", name, sample), func(t *testing.T) {
+				mSw, outSw, _, errSw := runBodyTraced(t, body, 4, false, sample)
+				mTh, outTh, altCalls, errTh := runBodyTraced(t, body, 4, true, sample)
+				switch {
+				case (errSw == nil) != (errTh == nil):
+					t.Fatalf("errors diverge: switch=%v threaded=%v", errSw, errTh)
+				case errSw != nil && errSw.Error() != errTh.Error():
+					t.Fatalf("error text diverges:\n  switch:   %v\n  threaded: %v", errSw, errTh)
+				}
+				if sw, th := mSw.OpCounts(), mTh.OpCounts(); !reflect.DeepEqual(sw, th) {
+					t.Errorf("op counts diverge:\n  switch:   %v\n  threaded: %v", sw, th)
+				}
+				if mSw.Steps != mTh.Steps || outSw != outTh {
+					t.Errorf("switch (%q, %d steps), threaded (%q, %d steps)", outSw, mSw.Steps, outTh, mTh.Steps)
+				}
+				if !slices.Equal(mSw.Mem, mTh.Mem) {
+					t.Error("memory images diverge")
+				}
+				if sw, th := mSw.Tel.HotPCs(0), mTh.Tel.HotPCs(0); !reflect.DeepEqual(sw, th) {
+					t.Errorf("pc samples diverge:\n  switch:   %v\n  threaded: %v", sw, th)
+				}
+				if sw, th := mSw.Tel.HotPairs(0), mTh.Tel.HotPairs(0); !reflect.DeepEqual(sw, th) {
+					t.Errorf("opcode-pair samples diverge:\n  switch:   %v\n  threaded: %v", sw, th)
+				}
+				if sample == 0 && altCalls != 0 {
+					t.Errorf("%d fused sites fell back to single handlers with sampling off", altCalls)
+				}
+				if sample > 0 && altCalls == 0 {
+					t.Error("no fused site fell back with sampling on: the sampler missed steps")
+				}
+			})
+		}
+	}
+}
+
+// TestSharedDispatchTable: machines of one program share one table by
+// pointer, and — each with its own memory, run concurrently in small
+// fuel slices (under -race in CI) — produce what a machine with a table
+// of its own produces.
+func TestSharedDispatchTable(t *testing.T) {
+	body := lockstepBody()
+	body[5] = Instr{Op: OpGcPoll} // i is stepped below instead, so slices can yield inside the loop
+	body = append(body[:6], append([]Instr{{Op: OpAddI, Rd: 3, Ra: 3, Imm: 1}}, body[6:]...)...)
+	body[8].Target = 4
+	prog := buildProgram(t, body, 2, 8)
+	newMachine := func(tab *DispatchTable, out *strings.Builder) *Machine {
+		m := New(prog, Config{HeapWords: 4096, StackWords: 1024, MaxThreads: 1, Out: out})
+		m.Alloc = &fixedAlloc{next: m.HeapLo}
+		m.Collector = nopCollector{}
+		m.EnableThreadedDispatch(tab)
+		if _, err := m.Spawn(0); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	var refOut strings.Builder
+	ref := newMachine(NewDispatchTable(prog, DefaultFusions()), &refOut)
+	if err := ref.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if refOut.String() != "45" || ref.Fused == 0 {
+		t.Fatalf("reference run: output %q, %d fused sites", refOut.String(), ref.Fused)
+	}
+
+	shared := NewDispatchTable(prog, DefaultFusions())
+	const machines = 4
+	ms := make([]*Machine, machines)
+	outs := make([]strings.Builder, machines)
+	slicesRun := make([]int, machines)
+	var wg sync.WaitGroup
+	for i := range ms {
+		ms[i] = newMachine(shared, &outs[i])
+		if &ms[i].threaded[0] != &ms[0].threaded[0] || &ms[i].retIdx[0] != &ms[0].retIdx[0] {
+			t.Fatalf("machine %d has a dispatch table of its own", i)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := false; !done; slicesRun[i]++ {
+				var err error
+				if done, err = ms[i].RunFuel(3); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, m := range ms {
+		if outs[i].String() != refOut.String() || m.Steps != ref.Steps || !slices.Equal(m.Mem, ref.Mem) {
+			t.Errorf("machine %d: (%q, %d steps), reference (%q, %d steps)",
+				i, outs[i].String(), m.Steps, refOut.String(), ref.Steps)
+		}
+		if slicesRun[i] < 2 {
+			t.Errorf("machine %d ran in %d slices: nothing interleaved", i, slicesRun[i])
 		}
 	}
 }

@@ -335,14 +335,12 @@ type Machine struct {
 	// deadlock check), surviving a mid-pass yield.
 	passRan bool
 
-	// threaded, when non-nil, is the per-instruction dispatch table
-	// built by EnableThreadedDispatch; nil keeps the switch interpreter
-	// (the zero-value default, so differential runs can compare both).
+	// threaded and retIdx, when non-nil, are the program's shared
+	// DispatchTable, installed by EnableThreadedDispatch and read-only
+	// here; nil keeps the switch interpreter (the zero-value default, so
+	// differential runs can compare both).
 	threaded []tentry
-	// retIdx maps byte PCs to instruction indices for RET under
-	// threaded dispatch (-1 = not an instruction start), replacing the
-	// IdxOf map lookup on every return.
-	retIdx []int32
+	retIdx   []int32
 	// fastHeap is m.Alloc when it is the concrete semispace heap,
 	// enabling the bump-pointer allocation fast path in the threaded
 	// NEW handlers (nil for custom or conservative allocators).
@@ -355,9 +353,13 @@ type Machine struct {
 	Tel           *telemetry.Tracer
 	pcSampleEvery int64
 	opCounts      [numOps]int64
-	gcRequestNs   int64 // telemetry timestamp of the pending rendezvous request
-	mSteps        *telemetry.Counter
-	hWait         *telemetry.Histogram
+	// pairAt is 1 + the instruction index of the fused pair the last
+	// traced step counted both opcodes of (0 after any other step), so
+	// a trap in the pair's first half can give the second count back.
+	pairAt      int
+	gcRequestNs int64 // telemetry timestamp of the pending rendezvous request
+	mSteps      *telemetry.Counter
+	hWait       *telemetry.Histogram
 }
 
 // New builds a machine for prog. The caller attaches an Allocator and a
@@ -395,6 +397,7 @@ func New(prog *Program, cfg Config) *Machine {
 // the metric handles once so the step loop stays map-free.
 func (m *Machine) SetTracer(t *telemetry.Tracer) {
 	m.Tel = t
+	m.pairAt = 0
 	if t == nil {
 		m.mSteps, m.hWait = nil, nil
 		return
