@@ -10,7 +10,6 @@
 //	-cache     decode-cache effect on takl: table bytes read per collection
 //	-parallel  parallel trace-copy: pause phases at trace widths 1/2/4/8
 //	-heaplive  compile-time GC: cell reuse + root shrinking, pass off vs on
-//	-dispatch  threaded dispatch vs switch interpreter, plus the bigram profile
 //	-concurrent mostly-concurrent vs stop-the-world pause SLO at widths 1/2/4/8
 //	-workloads BENCH_10 workload suite: server, deep stacks, adversarial kernels, ballast sweep
 //	-all       everything
@@ -20,14 +19,11 @@
 // writes the -parallel measurement (per-phase times per worker count,
 // equivalence verdicts) as JSON, for the BENCH_5 CI artifact. -bench7
 // FILE writes the -heaplive measurement (collections, copied words,
-// pause deltas) as JSON, for the BENCH_7 CI artifact. -bench8 FILE
-// writes the -dispatch measurement (per-kernel speedups, equivalence
-// verdicts, hot opcode bigrams) as JSON, for the BENCH_8 CI artifact.
-// -bench9 FILE writes the -concurrent measurement (pause p50/p99 per
-// mode and trace width, SLO verdicts) as JSON, for the BENCH_9 CI
-// artifact. -bench10 FILE writes the -workloads measurement as JSON,
-// for the BENCH_10 CI artifact; -quick shrinks the workload sizes for
-// smoke runs.
+// pause deltas) as JSON, for the BENCH_7 CI artifact. -bench9 FILE
+// writes the -concurrent measurement (pause p50/p99 per mode and trace
+// width, SLO verdicts) as JSON, for the BENCH_9 CI artifact. -bench10
+// FILE writes the -workloads measurement as JSON, for the BENCH_10 CI
+// artifact; -quick shrinks the workload sizes for smoke runs.
 //
 // Every harness is divergence-fatal: if a measurement's equivalence
 // checks fail (outputs, collection counts, or heap images differ where
@@ -67,14 +63,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cache := fs.Bool("cache", false, "decode-cache effect on takl (table bytes read per collection)")
 	par := fs.Bool("parallel", false, "parallel trace-copy pause phases at trace widths 1/2/4/8")
 	hl := fs.Bool("heaplive", false, "compile-time GC: cell reuse + root shrinking, pass off vs on")
-	disp := fs.Bool("dispatch", false, "threaded dispatch vs switch interpreter, plus the bigram profile")
 	conc := fs.Bool("concurrent", false, "mostly-concurrent vs stop-the-world pauses at trace widths 1/2/4/8")
 	work := fs.Bool("workloads", false, "BENCH_10 workload suite: server sessions, deep stacks, adversarial kernels, ballast sweep")
 	quick := fs.Bool("quick", false, "shrink -workloads sizes for smoke runs")
 	snapshot := fs.String("snapshot", "", "write the cached takl run's telemetry snapshot (JSON) to this file")
 	bench5 := fs.String("bench5", "", "write the parallel trace-copy measurement (JSON) to this file")
 	bench7 := fs.String("bench7", "", "write the compile-time GC measurement (JSON) to this file")
-	bench8 := fs.String("bench8", "", "write the dispatch measurement (JSON) to this file")
 	bench9 := fs.String("bench9", "", "write the concurrent pause measurement (JSON) to this file")
 	bench10 := fs.String("bench10", "", "write the workload-suite measurement (JSON) to this file")
 	all := fs.Bool("all", false, "run everything")
@@ -82,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *all {
-		*t1, *t2, *s62, *s63, *cmp, *dec, *ref, *gen, *cache, *par, *hl, *disp, *conc, *work = true, true, true, true, true, true, true, true, true, true, true, true, true, true
+		*t1, *t2, *s62, *s63, *cmp, *dec, *ref, *gen, *cache, *par, *hl, *conc, *work = true, true, true, true, true, true, true, true, true, true, true, true, true
 	}
 	if *snapshot != "" {
 		*cache = true
@@ -93,16 +87,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *bench7 != "" {
 		*hl = true
 	}
-	if *bench8 != "" {
-		*disp = true
-	}
 	if *bench9 != "" {
 		*conc = true
 	}
 	if *bench10 != "" {
 		*work = true
 	}
-	if !*t1 && !*t2 && !*s62 && !*s63 && !*cmp && !*dec && !*ref && !*gen && !*cache && !*par && !*hl && !*disp && !*conc && !*work {
+	if !*t1 && !*t2 && !*s62 && !*s63 && !*cmp && !*dec && !*ref && !*gen && !*cache && !*par && !*hl && !*conc && !*work {
 		fs.Usage()
 		return 2
 	}
@@ -121,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*cache, func() error { return decodeCache(stdout, *snapshot) }},
 		{*par, func() error { return parallelTrace(stdout, *bench5) }},
 		{*hl, func() error { return heapLive(stdout, *bench7) }},
-		{*disp, func() error { return dispatch(stdout, *bench8) }},
 		{*conc, func() error { return concurrentPauses(stdout, *bench9) }},
 		{*work, func() error { return workloads(stdout, *bench10, *quick) }},
 	}
@@ -253,46 +243,6 @@ func concurrentPauses(w io.Writer, bench9Path string) error {
 	}
 	if !r.OutputsMatch {
 		return fmt.Errorf("concurrent and stop-the-world runs diverged on output")
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func dispatch(w io.Writer, bench8Path string) error {
-	fmt.Fprintln(w, "== Threaded dispatch vs switch interpreter (same compile, same heap) ==")
-	fmt.Fprintln(w, "(per-instruction resolved handlers, superinstructions fused from the")
-	fmt.Fprintln(w, " telemetry bigram sampler, and the bump-pointer allocation fast path;")
-	fmt.Fprintln(w, " output, collections, and the final heap image must match bitwise)")
-	r, err := bench.DispatchComparison()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-11s %10s | %10s %10s %8s | %5s %5s %5s\n",
-		"Program", "steps", "switch", "threaded", "speedup", "out", "gcs", "heap")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-11s %10d | %10v %10v %7.2fx | %5v %5v %5v\n",
-			row.Program, row.Steps,
-			row.SwitchTime.Round(time.Microsecond), row.ThreadedTime.Round(time.Microsecond),
-			row.Speedup, row.OutputsMatch, row.GCCountsMatch, row.HeapsMatch)
-	}
-	fmt.Fprintln(w, "hot opcode bigrams (takl, sampled every 16 instructions):")
-	for _, b := range r.Bigrams {
-		mark := " "
-		if b.Fusible {
-			mark = "*"
-		}
-		fmt.Fprintf(w, "  %s %-10s + %-10s %8d\n", mark, b.First, b.Second, b.Count)
-	}
-	fmt.Fprintf(w, "all observables identical:  %v\n", r.AllMatch)
-	fmt.Fprintf(w, "kernels at >=1.5x speedup:  %d\n", r.KernelsAtTarget)
-	if bench8Path != "" {
-		if err := writeJSON(bench8Path, r); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "BENCH_8 measurement written: %s\n", bench8Path)
-	}
-	if !r.AllMatch {
-		return fmt.Errorf("threaded and switch dispatch diverged")
 	}
 	fmt.Fprintln(w)
 	return nil

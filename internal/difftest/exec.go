@@ -52,11 +52,11 @@ type Cell struct {
 	// determinism groups (reuse changes allocation counts and heap
 	// images by design).
 	HeapLive bool
-	// Threaded runs the cell on the vmachine threaded-dispatch table
-	// (superinstruction fusion + allocation fast path) instead of the
-	// switch interpreter. Dispatch must be behaviorally invisible, so
-	// threaded cells stay in the same determinism group as switch cells:
-	// collection counts and final heap images must match bitwise.
+	// Threaded runs the cell on the vmachine superblock dispatch table
+	// instead of the reference interpreter. Dispatch must be
+	// behaviorally invisible, so threaded cells stay in the same
+	// determinism group as reference cells: step counts, collection
+	// counts and final heap images must match bitwise.
 	Threaded bool
 	// Concurrent runs the precise collectors mostly-concurrently: SATB
 	// write barrier, incremental mark bursts, short final pause. Cells
@@ -124,7 +124,7 @@ const (
 	KindCompile     Kind = iota // the program failed to compile
 	KindTrap                    // a cell trapped, panicked, or exceeded the step budget
 	KindOutput                  // a cell's output differs from the reference run
-	KindDeterminism             // collection count or heap image differs within a collector group
+	KindDeterminism             // step count, collection count or heap image differs within a collector group
 	KindVerify                  // gcverify strict mode flagged the encoded tables
 	KindCache                   // the memoizing decoder diverged from the plain decoder
 )
@@ -259,16 +259,18 @@ type cellResult struct {
 	cell     Cell
 	out      string
 	err      string
+	steps    int64
 	gcs      int64
 	heapHash uint64
 }
 
 // Execute compiles src once per scheme and runs it under every cell,
 // diffing program output against an unoptimized big-heap reference,
-// and collection counts and final heap images within each collector
-// group (where scheme, cache, and workers must all be behaviorally
-// invisible). Per scheme it also runs the gcverify strict pass and the
-// decode-cache transparency probe. Every disagreement is one Finding.
+// and step counts, collection counts and final heap images within each
+// collector group (where scheme, cache, and workers must all be
+// behaviorally invisible). Per scheme it also runs the gcverify strict
+// pass and the decode-cache transparency probe. Every disagreement is
+// one Finding.
 func Execute(seed int64, src string, cfg Config) *Result {
 	res := &Result{Seed: seed, Program: src}
 	add := func(f Finding) {
@@ -359,15 +361,19 @@ func Execute(seed int64, src string, cfg Config) *Result {
 
 	// Within a {collector, heaplive} group, scheme/cache/workers/
 	// trace-workers/dispatch/concurrency must be invisible: identical
-	// collection counts and bitwise-identical final heaps. HeapLive
-	// splits the groups because cell reuse legitimately changes both;
-	// Threaded and Concurrent do NOT split them — the threaded table
-	// must be indistinguishable from the switch, and the split
-	// concurrent cycle must be indistinguishable from stop-the-world.
+	// step counts, collection counts and bitwise-identical final heaps.
+	// HeapLive splits the groups because cell reuse legitimately changes
+	// all three; Threaded and Concurrent do NOT split them — the
+	// superblock table must be indistinguishable from the reference
+	// interpreter, and the split concurrent cycle from stop-the-world.
 	for _, col := range sortedKeys(groups) {
 		g := groups[col]
 		base := g[0]
 		for _, r := range g[1:] {
+			if r.steps != base.steps {
+				add(Finding{Kind: KindDeterminism, Cell: r.cell,
+					Detail: fmt.Sprintf("%d steps, %s had %d", r.steps, base.cell, base.steps)})
+			}
 			if r.gcs != base.gcs {
 				add(Finding{Kind: KindDeterminism, Cell: r.cell,
 					Detail: fmt.Sprintf("%d collections, %s had %d", r.gcs, base.cell, base.gcs)})
@@ -448,6 +454,7 @@ func runCell(c *driver.Compiled, cell Cell, maxSteps int64) (r cellResult) {
 		return r
 	}
 	r.out = sb.String()
+	r.steps = m.Steps
 	r.gcs = m.GCCount
 	r.heapHash = hashWords(m.Mem[m.HeapLo:m.HeapHi])
 	return r

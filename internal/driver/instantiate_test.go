@@ -108,8 +108,8 @@ func TestSharedDecoderAcrossInstances(t *testing.T) {
 
 // TestDispatchTableBuiltOnce: machines instantiated concurrently from
 // one Compiled — every collector flavour — land on one dispatch table,
-// built by whichever came first, and a switch-interpreter compile builds
-// none.
+// built by whichever came first, and a reference-interpreter compile
+// builds none.
 func TestDispatchTableBuiltOnce(t *testing.T) {
 	opts := NewOptions()
 	opts.Generational = true
@@ -136,7 +136,7 @@ func TestDispatchTableBuiltOnce(t *testing.T) {
 				m, _, err = c.NewConservativeMachine(cfg)
 			}
 			if err != nil || !m.ThreadedDispatch() || m.Fused == 0 {
-				t.Errorf("instance %d: err=%v, want a machine on the fused threaded table", i, err)
+				t.Errorf("instance %d: err=%v, want a machine on the superblock table", i, err)
 				return
 			}
 			tables[i] = c.dispatch

@@ -86,32 +86,6 @@ func (c *Collector) ShouldStartCycle() bool {
 	return c.Concurrent && c.Mode == ModeFull
 }
 
-// ConcTriggerPercent is the from-space occupancy (percent of the
-// allocation quota) at which ShouldTriggerCycle starts a cycle
-// proactively, before any allocation fails. Zero (the default)
-// disables proactive triggering: cycles then start at the first failed
-// allocation, exactly when a stop-the-world collection would run.
-//
-// The tradeoff is measured in EXPERIMENTS.md (BENCH_9): a proactive
-// cycle gives marking allocation runway, but it also lengthens the
-// window during which every allocation is claimed black, so on
-// allocation-heavy workloads the floating garbage inflates the copy
-// tail of the final pause by more than the avoided mark drain. Enable
-// it for mark-heavy, allocation-light heaps; leave it off when churn
-// dominates.
-var ConcTriggerPercent int64 = 0
-
-// ShouldTriggerCycle implements vmachine.CycleTrigger.
-func (c *Collector) ShouldTriggerCycle() bool {
-	trig := ConcTriggerPercent
-	if trig <= 0 || trig > 100 || c.cyc != nil || !c.ShouldStartCycle() {
-		return false
-	}
-	h := c.Heap
-	quota := h.Limit - h.FromLo
-	return quota > 0 && h.LiveWords()*100 >= quota*trig
-}
-
 // StartCycle implements vmachine.ConcurrentCollector: the initial
 // root-scan pause. Must run at a safepoint (every live thread parked
 // at a gc-point or the machine single-threaded inline path).

@@ -528,55 +528,6 @@ func TestConcurrentPauseSLO(t *testing.T) {
 	}
 }
 
-// TestProactiveCycleTrigger exercises the vmachine.CycleTrigger path:
-// with gc.ConcTriggerPercent set, multi-threaded machines start cycles
-// at the occupancy threshold instead of waiting for an allocation to
-// fail. The trigger must leave program output untouched, produce more
-// (earlier) collections than the exhaustion-triggered baseline, and be
-// deterministic — occupancy at a scheduler pass boundary is a pure
-// function of the instruction stream, so two runs must agree exactly.
-func TestProactiveCycleTrigger(t *testing.T) {
-	run := func(trigger int64) (string, int64, int64) {
-		t.Helper()
-		old := gc.ConcTriggerPercent
-		gc.ConcTriggerPercent = trigger
-		defer func() { gc.ConcTriggerPercent = old }()
-		c := concCompile(t, soakSrc, nil)
-		cfg := vmachine.Config{HeapWords: 2048, StackWords: 4096, MaxThreads: 8, Quantum: 53}
-		var sb strings.Builder
-		cfg.Out = &sb
-		m, col, err := c.NewMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col.Debug = true // heap invariants checked inside every final pause
-		spawnWorkers(t, c, m, "W1", "W2", "W3")
-		if err := m.Run(1_000_000_000); err != nil {
-			t.Fatalf("trigger=%d: %v (out=%q)", trigger, err, sb.String())
-		}
-		return sb.String(), m.GCCount, col.Cycles
-	}
-	outOff, gcsOff, _ := run(0)
-	if outOff != parallelWant {
-		t.Fatalf("baseline output %q, want %q", outOff, parallelWant)
-	}
-	outOn, gcsOn, cyclesOn := run(50)
-	if outOn != parallelWant {
-		t.Errorf("triggered output %q, want %q", outOn, parallelWant)
-	}
-	if cyclesOn == 0 {
-		t.Error("no concurrent cycles ran with the trigger enabled")
-	}
-	if gcsOn <= gcsOff {
-		t.Errorf("trigger at 50%% occupancy ran %d collections, baseline %d; proactive cycles must start earlier",
-			gcsOn, gcsOff)
-	}
-	outOn2, gcsOn2, _ := run(50)
-	if outOn2 != outOn || gcsOn2 != gcsOn {
-		t.Errorf("trigger schedule not deterministic: gcs %d vs %d", gcsOn, gcsOn2)
-	}
-}
-
 // TestConcurrentTreeBenchmarksMatchSTW pins the gray-stack aliasing
 // regression: MarkStep carves each batch off the tail of the gray
 // stack while scanBatch appends discoveries back onto the same stack,

@@ -2,7 +2,7 @@ package gc
 
 // White-box tests for the concurrent cycle's building blocks: the SATB
 // hook, black allocation, and the bounded mark increment. The
-// end-to-end behavior (hostile mutators, fused-dispatch stores, soak)
+// end-to-end behavior (hostile mutators, superblock-dispatch stores, soak)
 // lives in concurrent_test.go; these pin the hook semantics directly.
 
 import (

@@ -11,7 +11,7 @@ import (
 )
 
 // TestTenantRunsFused pins what a tenant machine is: untraced, on the
-// shared threaded table with its superinstructions, and — sliced by the
+// shared dispatch table with its superblock runs, and — sliced by the
 // scheduler — indistinguishable from the same program driven by a plain
 // RunFuel loop at the same fuel, or not sliced at all.
 func TestTenantRunsFused(t *testing.T) {
@@ -33,10 +33,10 @@ func TestTenantRunsFused(t *testing.T) {
 				t.Fatal(err)
 			}
 			if ten.m.Tel != nil {
-				t.Error("tenant machine carries a tracer: it would leave the fused fast path")
+				t.Error("tenant machine carries a tracer: it would count every run's opcodes")
 			}
 			if !ten.m.ThreadedDispatch() || ten.m.Fused == 0 {
-				t.Errorf("tenant machine threaded=%v fused=%d, want the fused threaded table",
+				t.Errorf("tenant machine threaded=%v multi-instruction runs=%d, want the superblock table",
 					ten.m.ThreadedDispatch(), ten.m.Fused)
 			}
 

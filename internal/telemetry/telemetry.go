@@ -253,8 +253,7 @@ func (t *Tracer) SamplePC(pc int64) {
 
 // SamplePair records one co-occurrence of an adjacent value pair —
 // the VM samples (previous opcode, current opcode) bigrams on the same
-// cadence as SamplePC, and the dispatch builder reads them back with
-// HotPairs to pick superinstruction fusions from real execution.
+// cadence as SamplePC, read back with HotPairs.
 func (t *Tracer) SamplePair(a, b int64) {
 	if t == nil {
 		return

@@ -8,10 +8,13 @@ package vmachine_test
 // the driver depends on vmachine.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/bench"
 	"repro/internal/driver"
 	"repro/internal/gctab"
 	"repro/internal/progen"
@@ -72,7 +75,7 @@ func hashHeap(m *vmachine.Machine) uint64 {
 
 // TestDispatchGeneratedProgramSweep compares the dispatchers untraced,
 // then with a tracer attached — sampling off, where the threaded table
-// keeps its fusions and counts both opcodes of a pair, and on, where it
+// keeps its superblock runs and counts their opcodes, and on, where it
 // single-steps — adding the per-opcode counts to the observables.
 func TestDispatchGeneratedProgramSweep(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
@@ -106,5 +109,87 @@ func TestDispatchGeneratedProgramSweep(t *testing.T) {
 				t.Errorf("seed %d sample %d: %d opcodes counted", seed, sample, len(th.opCounts))
 			}
 		}
+	}
+}
+
+// BenchmarkTaklSteps runs the benchmark suite's mutator.takl program
+// (TaklLoopSource(10), default options and heap) and reports the
+// interpreter's cost per executed instruction, instantiation excluded.
+func BenchmarkTaklSteps(b *testing.B) {
+	c, err := driver.Compile("takl.m3", bench.TaklLoopSource(10), driver.NewOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var steps int64
+	var run time.Duration
+	for i := 0; i < b.N; i++ {
+		m, _, err := c.NewMachine(vmachine.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		if err := m.Run(0); err != nil {
+			b.Fatal(err)
+		}
+		run += time.Since(start)
+		steps += m.Steps
+	}
+	b.ReportMetric(float64(run.Nanoseconds())/float64(steps), "ns/step")
+}
+
+// TestSuperblockShape checks the run table over the four paper sources
+// and a progen corpus, compiled with gc-polls in loops: no run's
+// interior holds a gc-point or a control transfer, only a run's last
+// instruction may be CALL, BT, BF, JMP, RET, HALT or TRAP, a run is the
+// suffix of the run one instruction earlier whenever that one falls
+// through into it, and every run is as long as the rule allows.
+func TestSuperblockShape(t *testing.T) {
+	srcs := map[string]string{}
+	for _, name := range bench.Names() {
+		srcs[name] = bench.Sources()[name]
+	}
+	for seed := int64(1); seed <= 16; seed++ {
+		srcs[fmt.Sprintf("progen-%d", seed)] = progen.Program(seed)
+	}
+	ends := map[vmachine.Op]bool{
+		vmachine.OpCall: true, vmachine.OpBT: true, vmachine.OpBF: true, vmachine.OpJmp: true,
+		vmachine.OpRet: true, vmachine.OpHalt: true, vmachine.OpTrap: true,
+	}
+	longest := 0
+	for name, src := range srcs {
+		opts := driver.NewOptions()
+		opts.Multithreaded = true
+		c, err := driver.Compile(name+".m3", src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		code := c.Prog.Code
+		runs := vmachine.RunLengths(vmachine.NewDispatchTable(c.Prog))
+		for i, n := range runs {
+			longest = max(longest, n)
+			if n < 1 || i+n > len(code) {
+				t.Fatalf("%s: run at %d has length %d of %d instructions", name, i, n, len(code))
+			}
+			for j := i; j < i+n-1; j++ {
+				if in := &code[j]; in.IsGCPoint() || ends[in.Op] {
+					t.Errorf("%s: run at %d holds %s at %d before its end", name, i, in.Op, j)
+				}
+			}
+			last := &code[i+n-1]
+			if n > 1 && last.IsPollPoint() {
+				t.Errorf("%s: run at %d ends in poll point %s", name, i, last.Op)
+			}
+			continues := !code[i].IsGCPoint() && !ends[code[i].Op]
+			if i+1 < len(code) && continues && !code[i+1].IsPollPoint() {
+				if n != runs[i+1]+1 {
+					t.Errorf("%s: run at %d has length %d, the one after it %d", name, i, n, runs[i+1])
+				}
+			} else if n != 1 {
+				t.Errorf("%s: run at %d has length %d, want 1", name, i, n)
+			}
+		}
+	}
+	if longest < 6 {
+		t.Errorf("longest run is %d instructions", longest)
 	}
 }

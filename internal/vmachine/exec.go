@@ -6,10 +6,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// stepSwitch executes one instruction on thread t via the baseline
-// switch interpreter (the reference semantics the threaded dispatch
-// table in dispatch.go must match bitwise). It returns an error for
-// traps; thread state (Done/Blocked) signals everything else.
+// stepSwitch executes one instruction on thread t: the reference
+// interpreter the threaded table in dispatch.go is checked against. It
+// does the scheduler's per-step work, then makes one call through the
+// op table. It returns an error for traps; thread state (Done/Blocked)
+// signals everything else.
 func (m *Machine) stepSwitch(t *Thread) error {
 	in := &m.Prog.Code[t.PC]
 
@@ -37,212 +38,25 @@ func (m *Machine) stepSwitch(t *Thread) error {
 
 	m.Steps++
 	if m.Tel != nil {
-		m.opCounts[in.Op]++
-		if m.pcSampleEvery > 0 && m.Steps%m.pcSampleEvery == 0 {
-			m.Tel.SamplePC(int64(m.Prog.PCOf[t.PC]))
-			m.Tel.SamplePair(int64(t.prevOp), int64(in.Op))
-		}
-		t.prevOp = in.Op
+		m.observe(t, in.Op)
 	}
-	regs := &t.Regs
-	baseVal := func(b uint8) int64 {
-		switch b {
-		case BaseFP:
-			return t.FP
-		case BaseSP:
-			return t.SP
-		default:
-			return regs[b]
-		}
-	}
-
-	switch in.Op {
-	case OpHalt:
-		t.Done = true
-		return nil
-	case OpMovI:
-		regs[in.Rd] = in.Imm
-	case OpMov:
-		regs[in.Rd] = regs[in.Ra]
-	case OpAdd:
-		regs[in.Rd] = regs[in.Ra] + regs[in.Rb]
-	case OpSub:
-		regs[in.Rd] = regs[in.Ra] - regs[in.Rb]
-	case OpMul:
-		regs[in.Rd] = regs[in.Ra] * regs[in.Rb]
-	case OpDiv:
-		if regs[in.Rb] == 0 {
-			return m.trap(TrapDivByZero, "")
-		}
-		regs[in.Rd] = floorDiv(regs[in.Ra], regs[in.Rb])
-	case OpMod:
-		if regs[in.Rb] == 0 {
-			return m.trap(TrapDivByZero, "")
-		}
-		regs[in.Rd] = regs[in.Ra] - floorDiv(regs[in.Ra], regs[in.Rb])*regs[in.Rb]
-	case OpAddI:
-		regs[in.Rd] = regs[in.Ra] + in.Imm
-	case OpNeg:
-		regs[in.Rd] = -regs[in.Ra]
-	case OpNot:
-		regs[in.Rd] = 1 - regs[in.Ra]
-	case OpAbs:
-		v := regs[in.Ra]
-		if v < 0 {
-			v = -v
-		}
-		regs[in.Rd] = v
-	case OpMin:
-		regs[in.Rd] = min(regs[in.Ra], regs[in.Rb])
-	case OpMax:
-		regs[in.Rd] = max(regs[in.Ra], regs[in.Rb])
-	case OpCmpEQ:
-		regs[in.Rd] = b2i(regs[in.Ra] == regs[in.Rb])
-	case OpCmpNE:
-		regs[in.Rd] = b2i(regs[in.Ra] != regs[in.Rb])
-	case OpCmpLT:
-		regs[in.Rd] = b2i(regs[in.Ra] < regs[in.Rb])
-	case OpCmpLE:
-		regs[in.Rd] = b2i(regs[in.Ra] <= regs[in.Rb])
-	case OpCmpGT:
-		regs[in.Rd] = b2i(regs[in.Ra] > regs[in.Rb])
-	case OpCmpGE:
-		regs[in.Rd] = b2i(regs[in.Ra] >= regs[in.Rb])
-	case OpLd:
-		v, err := m.read(baseVal(in.Base) + in.Imm)
-		if err != nil {
-			return err
-		}
-		regs[in.Rd] = v
-	case OpSt:
-		if err := m.write(baseVal(in.Base)+in.Imm, regs[in.Ra]); err != nil {
-			return err
-		}
-	case OpStB:
-		if err := m.storeBarriered(baseVal(in.Base)+in.Imm, regs[in.Ra]); err != nil {
-			return err
-		}
-	case OpLea:
-		regs[in.Rd] = baseVal(in.Base) + in.Imm
-	case OpLdG:
-		v, err := m.read(m.GlobalBase + in.Imm)
-		if err != nil {
-			return err
-		}
-		regs[in.Rd] = v
-	case OpStG:
-		if err := m.write(m.GlobalBase+in.Imm, regs[in.Ra]); err != nil {
-			return err
-		}
-	case OpLeaG:
-		regs[in.Rd] = m.GlobalBase + in.Imm
-	case OpJmp:
-		t.PC = m.Prog.IdxOf[in.Target]
-		return nil
-	case OpBT:
-		if regs[in.Ra] != 0 {
-			t.PC = m.Prog.IdxOf[in.Target]
-			return nil
-		}
-	case OpBF:
-		if regs[in.Ra] == 0 {
-			t.PC = m.Prog.IdxOf[in.Target]
-			return nil
-		}
-	case OpCall:
-		t.SP--
-		if err := m.write(t.SP, int64(m.Prog.PCOf[t.PC+1])); err != nil {
-			return err
-		}
-		t.PC = m.Prog.IdxOf[in.Target]
-		t.stressed = false
-		return nil
-	case OpEnter:
-		t.SP--
-		if err := m.write(t.SP, t.FP); err != nil {
-			return err
-		}
-		t.FP = t.SP
-		t.SP = t.FP - in.Imm
-		if t.SP < t.StackLo {
-			return m.trap(TrapStackOverflow, "")
-		}
-	case OpRet:
-		ret, err := m.read(t.FP + 1)
-		if err != nil {
-			return err
-		}
-		oldFP, err := m.read(t.FP)
-		if err != nil {
-			return err
-		}
-		t.SP = t.FP + 2
-		t.FP = oldFP
-		idx, ok := m.Prog.IdxOf[int(ret)]
-		if !ok {
-			return m.trap(TrapBadAddress, fmt.Sprintf("return to pc %d", ret))
-		}
-		t.PC = idx
-		return nil
-	case OpNewRec:
-		return m.allocate(t, in.Rd, in.Desc, 0)
-	case OpNewArr:
-		n := regs[in.Ra]
-		if n < 0 {
-			return m.trap(TrapRangeError, fmt.Sprintf("array length %d", n))
-		}
-		return m.allocate(t, in.Rd, in.Desc, n)
-	case OpNewText:
-		return m.allocateText(t, in.Rd, in.Desc)
-	case OpGcPoll:
-		// Nothing to do outside a rendezvous (handled above).
-	case OpGcCollect:
-		if len(m.runnable()) > 1 {
-			m.requestGC(t)
-			t.resumeSkip = true
-			return nil
-		}
-		m.Cur = t
-		if err := m.collectNow(); err != nil {
-			return err
-		}
-		m.GCCount++
-	case OpPutInt:
-		fmt.Fprintf(m.Out, "%d", regs[in.Ra])
-	case OpPutChar:
-		fmt.Fprintf(m.Out, "%c", byte(regs[in.Ra]))
-	case OpPutText:
-		if err := m.putText(regs[in.Ra]); err != nil {
-			return err
-		}
-	case OpPutLn:
-		fmt.Fprintln(m.Out)
-	case OpChkNil:
-		if regs[in.Ra] == 0 {
-			return m.trap(TrapNilDeref, "")
-		}
-	case OpChkRng:
-		if v := regs[in.Ra]; v < in.Imm || v > in.Imm2 {
-			return m.trap(TrapRangeError, fmt.Sprintf("%d not in [%d..%d]", v, in.Imm, in.Imm2))
-		}
-	case OpChkIdx:
-		if v := regs[in.Ra]; v < 0 || v >= regs[in.Rb] {
-			return m.trap(TrapIndexError, fmt.Sprintf("%d not in [0..%d)", v, regs[in.Rb]))
-		}
-	case OpTrap:
-		return m.trap(TrapCode(in.Desc), "")
-	case OpReuse:
-		return m.reuseCell(t, in)
-	default:
-		return m.trap(TrapUnreachable, in.Op.String())
-	}
-	t.PC++
-	t.stressed = false
-	return nil
+	return opFn(in.Op)(m, t, in)
 }
 
-// reuseCell implements OpReuse for both dispatchers: in-place
-// reinitialization of a cell the compiler proved dead — keep the header
+// observe records one step about to execute op in the telemetry
+// profile: the opcode count and, every pcSampleEvery steps, the byte PC
+// and the opcode bigram.
+func (m *Machine) observe(t *Thread, op Op) {
+	m.opCounts[op]++
+	if m.pcSampleEvery > 0 && m.Steps%m.pcSampleEvery == 0 {
+		m.Tel.SamplePC(int64(m.Prog.PCOf[t.PC]))
+		m.Tel.SamplePair(int64(t.prevOp), int64(op))
+	}
+	t.prevOp = op
+}
+
+// reuseCell implements OpReuse: in-place reinitialization of a cell
+// the compiler proved dead — keep the header
 // (same descriptor by construction), zero the payload to match
 // TryAlloc's zeroed-memory contract. Not a gc-point — the heap is never
 // exhausted here. During a concurrent mark cycle the cell's old pointer
@@ -333,7 +147,7 @@ func (m *Machine) allocCommon(t *Thread, rd uint8, desc int, n int64, fill func(
 	if t.allocRetried {
 		t.allocRetried = false
 		if m.concCollector() != nil {
-			if len(m.runnable()) > 1 {
+			if m.othersRunnable(t) {
 				// The collection just waited through may have been a
 				// concurrent cycle that retained its floating garbage;
 				// rendezvous again with syncGC set so the next one
@@ -372,7 +186,7 @@ func (m *Machine) allocCommon(t *Thread, rd uint8, desc int, n int64, fill func(
 		t.allocSynced = false
 		return m.allocFailure(desc, n)
 	}
-	if len(m.runnable()) > 1 {
+	if m.othersRunnable(t) {
 		// Multi-threaded: request a rendezvous and retry the
 		// allocation after the collection (PC unchanged).
 		m.requestGC(t)
@@ -449,15 +263,15 @@ func (m *Machine) putText(addr int64) error {
 	return nil
 }
 
-// runnable returns the threads that are neither done nor parked.
-func (m *Machine) runnable() []*Thread {
-	var out []*Thread
-	for _, t := range m.Threads {
-		if !t.Done && !t.Blocked {
-			out = append(out, t)
+// othersRunnable reports whether any thread other than t is neither
+// done nor parked: whether a collection t needs must rendezvous.
+func (m *Machine) othersRunnable(t *Thread) bool {
+	for _, o := range m.Threads {
+		if o != t && !o.Done && !o.Blocked {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // Run executes until every thread halts, a trap occurs, or maxSteps
@@ -608,25 +422,6 @@ func (m *Machine) run(maxSteps, fuel int64) (bool, error) {
 			}
 			continue
 		}
-		if !m.GCRequested && !m.syncGC {
-			// Proactive cycle start: when the collector's trigger fires
-			// (typically a heap-occupancy threshold), request a rendezvous
-			// now so marking runs while allocation headroom remains.
-			// Occupancy at a pass boundary is deterministic, so the
-			// trigger schedule is too.
-			if cc := m.concCollector(); cc != nil && cc.ShouldStartCycle() {
-				if tr, ok := m.Collector.(CycleTrigger); ok && tr.ShouldTriggerCycle() && len(m.runnable()) > 1 {
-					// No requester thread: the rendezvous park exemption
-					// (`t != m.Requester`) assumes the requester is already
-					// parked at a gc-point, which no running thread is. With
-					// a nil requester every thread parks at its next poll.
-					m.GCRequested = true
-					if m.Tel != nil {
-						m.gcRequestNs = m.Tel.Now()
-					}
-				}
-			}
-		}
 		if m.GCRequested && m.allParked() {
 			if m.Tel != nil {
 				m.emitRendezvous()
@@ -669,7 +464,7 @@ func (m *Machine) run(maxSteps, fuel int64) (bool, error) {
 
 // emitRendezvous records the latency from the GC request to the moment
 // every live thread has reached a gc-point (the paper's worry about
-// gc-point density, §5). Caller guarantees Tel and Requester are set.
+// gc-point density, §5). Caller guarantees Tel is set.
 func (m *Machine) emitRendezvous() {
 	parked := int64(0)
 	for _, t := range m.Threads {
@@ -677,7 +472,7 @@ func (m *Machine) emitRendezvous() {
 			parked++
 		}
 	}
-	tid := int32(-1) // proactively triggered cycles have no requester
+	tid := int32(-1)
 	if m.Requester != nil {
 		tid = int32(m.Requester.ID)
 	}

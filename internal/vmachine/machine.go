@@ -163,19 +163,6 @@ type ConcurrentCollector interface {
 	FinishCycle(m *Machine) error
 }
 
-// CycleTrigger is an optional ConcurrentCollector extension. The
-// scheduler polls it at pass boundaries on multi-threaded machines and
-// starts a cycle proactively when it reports true — before any
-// allocation fails. A cycle that instead waits for exhaustion begins
-// with no allocation runway: mutators park on failed allocations almost
-// immediately and the final pause inherits most of the mark backlog.
-// Single-threaded machines never poll (a proactive cycle would just run
-// back-to-back anyway), which keeps their collection schedule — and the
-// difftest matrix — identical to a stop-the-world collector's.
-type CycleTrigger interface {
-	ShouldTriggerCycle() bool
-}
-
 // Thread is one execution context.
 type Thread struct {
 	ID      int
@@ -207,7 +194,7 @@ type Thread struct {
 	// instruction already ran (allocations re-execute after GC).
 	stressed bool
 	// prevOp is the previously executed opcode, feeding the telemetry
-	// bigram sampler that picks superinstruction fusions.
+	// opcode-bigram sampler.
 	prevOp Op
 }
 
@@ -337,15 +324,16 @@ type Machine struct {
 
 	// threaded and retIdx, when non-nil, are the program's shared
 	// DispatchTable, installed by EnableThreadedDispatch and read-only
-	// here; nil keeps the switch interpreter (the zero-value default, so
-	// differential runs can compare both).
+	// here; nil keeps the reference interpreter (the zero-value default,
+	// so differential runs can compare both).
 	threaded []tentry
 	retIdx   []int32
 	// fastHeap is m.Alloc when it is the concrete semispace heap,
-	// enabling the bump-pointer allocation fast path in the threaded
-	// NEW handlers (nil for custom or conservative allocators).
+	// enabling the bump-pointer NEWREC/NEWARR fast path of stepSlice
+	// (nil for custom or conservative allocators).
 	fastHeap *heap.Heap
-	// Fused counts the superinstruction sites in the threaded table.
+	// Fused counts the threaded table's entries whose superblock run is
+	// longer than one instruction.
 	Fused int
 
 	// Tel, when non-nil, enables the VM probes; every probe is guarded
@@ -353,13 +341,9 @@ type Machine struct {
 	Tel           *telemetry.Tracer
 	pcSampleEvery int64
 	opCounts      [numOps]int64
-	// pairAt is 1 + the instruction index of the fused pair the last
-	// traced step counted both opcodes of (0 after any other step), so
-	// a trap in the pair's first half can give the second count back.
-	pairAt      int
-	gcRequestNs int64 // telemetry timestamp of the pending rendezvous request
-	mSteps      *telemetry.Counter
-	hWait       *telemetry.Histogram
+	gcRequestNs   int64 // telemetry timestamp of the pending rendezvous request
+	mSteps        *telemetry.Counter
+	hWait         *telemetry.Histogram
 }
 
 // New builds a machine for prog. The caller attaches an Allocator and a
@@ -397,7 +381,6 @@ func New(prog *Program, cfg Config) *Machine {
 // the metric handles once so the step loop stays map-free.
 func (m *Machine) SetTracer(t *telemetry.Tracer) {
 	m.Tel = t
-	m.pairAt = 0
 	if t == nil {
 		m.mSteps, m.hWait = nil, nil
 		return
@@ -507,9 +490,7 @@ func (m *Machine) ConcMarkActive() bool { return m.concActive }
 
 // storeBarriered performs a barriered pointer store: the generational
 // store check sees the new value, the SATB hook sees the overwritten
-// one, then the word is written. Shared by the switch interpreter, the
-// threaded OpStB handler, and the fused superinstruction bodies so all
-// four dispatch paths have identical barrier semantics.
+// one, then the word is written.
 func (m *Machine) storeBarriered(addr, v int64) *RuntimeError {
 	if addr < guardWords || addr >= int64(len(m.Mem)) {
 		return m.trap(TrapBadAddress, fmt.Sprintf("write of %d", addr))

@@ -52,7 +52,7 @@ func newAllocMachine(t *testing.T, alloc Allocator, threads int) (*Machine, []*T
 }
 
 // TestAllocateWithParkedSiblingCollectsDirectly is the regression test
-// for the runnable() bug: it used to filter only Done threads, so a
+// for the runnable-thread check: it used to filter only Done threads, so a
 // parked (Blocked) sibling counted as runnable and a failing
 // allocation would start a rendezvous with a thread that can never
 // reach a gc-point — waking the sibling as a side effect. With the
@@ -86,14 +86,41 @@ func TestAllocateWithParkedSiblingCollectsDirectly(t *testing.T) {
 	}
 }
 
-// TestRunnableExcludesParked pins the documented contract directly.
+// TestRunnableExcludesParked pins the documented contract directly:
+// neither a finished nor a parked thread counts as runnable.
 func TestRunnableExcludesParked(t *testing.T) {
 	m, ts := newAllocMachine(t, &scriptAlloc{next: 512}, 3)
 	ts[0].Done = true
 	ts[1].Blocked = true
-	r := m.runnable()
-	if len(r) != 1 || r[0] != ts[2] {
-		t.Fatalf("runnable = %d threads, want exactly the live unparked one", len(r))
+	if m.othersRunnable(ts[2]) {
+		t.Error("a done and a parked sibling counted as runnable")
+	}
+	if !m.othersRunnable(ts[0]) || !m.othersRunnable(ts[1]) {
+		t.Error("the live unparked thread did not count as runnable")
+	}
+}
+
+// TestSlowPathAllocationAllocs: an allocation that fails, collects, and
+// retries on a single-threaded machine allocates nothing on the Go heap
+// (deciding whether to rendezvous used to build a slice of runnable
+// threads on every slow-path allocation).
+func TestSlowPathAllocationAllocs(t *testing.T) {
+	alloc := &scriptAlloc{next: 512}
+	m, ts := newAllocMachine(t, alloc, 1)
+	main := ts[0]
+	m.Cur = main
+	pc := main.PC
+	allocs := testing.AllocsPerRun(100, func() {
+		alloc.failures, alloc.next, main.PC = 1, 512, pc
+		if err := m.allocate(main, 3, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.GCCount == 0 || main.PC != pc+1 {
+		t.Fatalf("slow path did not collect and complete (GCCount %d)", m.GCCount)
+	}
+	if allocs != 0 {
+		t.Errorf("slow-path allocation made %v Go allocations, want 0", allocs)
 	}
 }
 
