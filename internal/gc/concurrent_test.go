@@ -9,6 +9,7 @@ package gc_test
 // the equivalent stop-the-world pause.
 
 import (
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/gc"
 	"repro/internal/telemetry"
+	"repro/internal/types"
 	"repro/internal/vmachine"
 )
 
@@ -585,5 +587,78 @@ func TestConcurrentTreeBenchmarksMatchSTW(t *testing.T) {
 				t.Errorf("collection schedule diverged: concurrent %d, stop-the-world %d", gcConc, gcSTW)
 			}
 		})
+	}
+}
+
+// collectFunc adapts a function to vmachine.Collector.
+type collectFunc func(m *vmachine.Machine) error
+
+func (f collectFunc) Collect(m *vmachine.Machine) error { return f(m) }
+
+// TestConcurrentFinalPauseCatchesUnmarkedRoot simulates a missed
+// barrier: after the initial pause a root slot is pointed at an object
+// the cycle never claimed (allocated with the black-allocation hook
+// bypassed). FinishCycle must refuse with the clean SATB-invariant
+// error before it copies anything; gengc runs the same check through
+// the same Cycle (TestConcurrentMajorFinalPauseCatchesUnmarkedRoot).
+func TestConcurrentFinalPauseCatchesUnmarkedRoot(t *testing.T) {
+	opts := driver.NewOptions()
+	opts.ConcurrentMark = true
+	c, err := driver.Compile("deepwalk.m3", bench.DeepWalkSource(8, 2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vmachine.DefaultConfig()
+	cfg.HeapWords = 1 << 14
+	cfg.Out = io.Discard
+	m, col, err := c.NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := -1
+	for _, d := range col.Heap.Descs.Descs {
+		if d.Kind == types.DescRecord {
+			list = d.ID
+			break
+		}
+	}
+	var finishErr error
+	var words, objects, collections int64
+	m.Collector = collectFunc(func(m *vmachine.Machine) error {
+		if err := col.StartCycle(m); err != nil {
+			return err
+		}
+		words, objects, collections = col.WordsCopied, col.ObjectsCopied, col.Collections
+		var w gc.Walk
+		if err := w.Machine(m, col.Dec, 1); err != nil {
+			t.Fatal(err)
+		}
+		hidden := false
+		for _, slot := range w.Roots(m, nil) {
+			if *slot != 0 {
+				addr, ok := m.Alloc.TryAlloc(list, 0)
+				if !ok {
+					t.Fatal("allocation for the hidden object failed")
+				}
+				*slot, hidden = addr, true
+				break
+			}
+		}
+		if !hidden {
+			t.Fatal("no live root to hide an object in")
+		}
+		finishErr = col.FinishCycle(m)
+		return finishErr
+	})
+	err = m.Run(0)
+	if finishErr == nil || err == nil {
+		t.Fatalf("FinishCycle accepted an unmarked root (run error %v)", err)
+	}
+	if !strings.Contains(finishErr.Error(), "unmarked at final pause") {
+		t.Errorf("FinishCycle error %q, want the SATB-invariant error", finishErr)
+	}
+	if col.WordsCopied != words || col.ObjectsCopied != objects || col.Collections != collections {
+		t.Errorf("the refused cycle copied: words %d→%d, objects %d→%d, collections %d→%d",
+			words, col.WordsCopied, objects, col.ObjectsCopied, collections, col.Collections)
 	}
 }

@@ -1,9 +1,11 @@
 package gc
 
 // White-box tests for the concurrent cycle's building blocks: the SATB
-// hook, black allocation, and the bounded mark increment. The
-// end-to-end behavior (hostile mutators, superblock-dispatch stores, soak)
-// lives in concurrent_test.go; these pin the hook semantics directly.
+// hook, black allocation, and the bounded mark increment. They drive
+// Cycle itself, the one engine both precise collectors embed, so they
+// pin the hook semantics for gc and gengc at once. The end-to-end
+// behavior (hostile mutators, superblock-dispatch stores, soak) lives in
+// concurrent_test.go and gengc's concurrent tests.
 
 import (
 	"testing"
@@ -35,33 +37,34 @@ func allocPair(t *testing.T, h *heap.Heap, n, next int64) int64 {
 	return addr
 }
 
-// armed returns a collector with an active (hand-armed) cycle over h.
-func armed(h *heap.Heap) *Collector {
-	c := &Collector{Heap: h}
-	c.marks.Reset(h.FromLo, h.Limit)
-	c.cyc = &concCycle{}
-	return c
+// armed returns a cycle hand-armed over h, as Start leaves it when no
+// root references anything.
+func armed(h *heap.Heap) *Cycle {
+	sp := &CopySpace{Mem: h.Mem, InFrom: h.Contains, PtrOffsets: h.PointerOffsets, Marks: new(heap.MarkSet)}
+	sp.Marks.Reset(h.FromLo, h.Limit)
+	return &Cycle{sp: sp, probes: &Probes{}}
 }
 
 func TestSATBRecordClaimsOnce(t *testing.T) {
 	h := concTestHeap(t)
 	a := allocPair(t, h, 1, 0)
 	c := armed(h)
+	marks := c.sp.Marks
 
 	c.satbRecord(a)
-	if !c.marks.Marked(a) {
+	if !marks.Marked(a) {
 		t.Fatalf("overwritten value %d not claimed by the SATB hook", a)
 	}
-	if c.SATBLogged != 1 || len(c.cyc.satb) != 1 || c.marks.Len() != 1 {
+	if c.SATBLogged != 1 || len(c.satb) != 1 || marks.Len() != 1 {
 		t.Fatalf("first log: SATBLogged=%d satb=%d marked=%d, want 1/1/1",
-			c.SATBLogged, len(c.cyc.satb), c.marks.Len())
+			c.SATBLogged, len(c.satb), marks.Len())
 	}
 	// Claim-on-log: relogging the same value must not grow the buffer —
 	// that is what bounds it by the object count, not the store count.
 	c.satbRecord(a)
-	if c.SATBLogged != 1 || len(c.cyc.satb) != 1 {
+	if c.SATBLogged != 1 || len(c.satb) != 1 {
 		t.Fatalf("relog grew the buffer: SATBLogged=%d satb=%d, want 1/1",
-			c.SATBLogged, len(c.cyc.satb))
+			c.SATBLogged, len(c.satb))
 	}
 }
 
@@ -71,22 +74,25 @@ func TestSATBRecordIgnoresNonHeapValues(t *testing.T) {
 	for _, v := range []int64{0, 1, h.FromLo - 1, h.Alloc, h.Limit + 10} {
 		c.satbRecord(v)
 	}
-	if c.SATBLogged != 0 || len(c.cyc.satb) != 0 {
-		t.Fatalf("non-heap values logged: SATBLogged=%d satb=%d", c.SATBLogged, len(c.cyc.satb))
+	if c.SATBLogged != 0 || len(c.satb) != 0 {
+		t.Fatalf("non-heap values logged: SATBLogged=%d satb=%d", c.SATBLogged, len(c.satb))
 	}
 }
 
 func TestSATBRecordOffOutsideCycle(t *testing.T) {
 	h := concTestHeap(t)
 	a := allocPair(t, h, 1, 0)
-	c := &Collector{Heap: h}
-	c.marks.Reset(h.FromLo, h.Limit)
-	// No cycle armed: the hook must be inert (the machine also nils
-	// m.SATB at FinishCycle; this guards the window either side).
+	c := armed(h)
+	marks := c.sp.Marks
+	c.sp = nil
+	// No cycle armed: both hooks must be inert (the machine also nils
+	// m.SATB and m.AllocMark at FinishCycle; this guards the window
+	// either side).
 	c.satbRecord(a)
-	if c.SATBLogged != 0 || c.marks.Marked(a) {
-		t.Fatalf("SATB hook recorded outside a cycle (logged=%d marked=%v)",
-			c.SATBLogged, c.marks.Marked(a))
+	c.blackAlloc(a)
+	if c.SATBLogged != 0 || marks.Marked(a) {
+		t.Fatalf("hooks recorded outside a cycle (logged=%d marked=%v)",
+			c.SATBLogged, marks.Marked(a))
 	}
 }
 
@@ -95,14 +101,14 @@ func TestBlackAllocMarksWithoutGraying(t *testing.T) {
 	c := armed(h)
 	a := allocPair(t, h, 1, 0)
 	c.blackAlloc(a)
-	if !c.marks.Marked(a) {
+	if !c.sp.Marks.Marked(a) {
 		t.Fatalf("black allocation %d not claimed", a)
 	}
-	if len(c.cyc.gray) != 0 || len(c.cyc.satb) != 0 {
-		t.Fatalf("black allocation grayed: gray=%d satb=%d", len(c.cyc.gray), len(c.cyc.satb))
+	if len(c.gray) != 0 || len(c.satb) != 0 {
+		t.Fatalf("black allocation grayed: gray=%d satb=%d", len(c.gray), len(c.satb))
 	}
-	if c.marks.Len() != 1 {
-		t.Fatalf("black allocation not recorded for copy: marked=%d", c.marks.Len())
+	if c.sp.Marks.Len() != 1 {
+		t.Fatalf("black allocation not recorded for copy: marked=%d", c.sp.Marks.Len())
 	}
 }
 
@@ -116,10 +122,11 @@ func TestMarkStepBoundedAndFoldsSATB(t *testing.T) {
 	s2 := allocPair(t, h, 5, 0)
 
 	c := armed(h)
+	marks := c.sp.Marks
 	c.MarkBudget = 1
 	// Seed the chain head as the initial pause would.
-	c.marks.Claim(c3)
-	c.cyc.gray = append(c.cyc.gray, c3)
+	marks.Claim(c3)
+	c.gray = append(c.gray, c3)
 	// Mutator overwrites two references mid-mark.
 	c.satbRecord(s1)
 	c.satbRecord(s2)
@@ -144,11 +151,11 @@ func TestMarkStepBoundedAndFoldsSATB(t *testing.T) {
 		t.Fatalf("budget 1 finished in %d steps; increments are not bounded", steps)
 	}
 	for _, a := range []int64{c1, c2, c3, s1, s2} {
-		if !c.marks.Marked(a) {
+		if !marks.Marked(a) {
 			t.Fatalf("object %d unmarked after drain", a)
 		}
 	}
-	if c.marks.Len() != 5 {
-		t.Fatalf("mark set holds %d objects, want 5", c.marks.Len())
+	if marks.Len() != 5 {
+		t.Fatalf("mark set holds %d objects, want 5", marks.Len())
 	}
 }

@@ -53,49 +53,20 @@ type Collector struct {
 	// the resulting heap is bitwise identical at any width.
 	TraceWorkers int
 
-	// Concurrent enables mostly-concurrent marking (concurrent.go):
-	// collections split into an initial root-scan pause, incremental
-	// mark bursts interleaved with mutator execution, and a short final
-	// pause that runs only assign/copy/fixup. Requires barriered stores
-	// in the program (codegen Options.Generational or Options.Barriers).
-	Concurrent bool
-	// MarkBudget bounds the gray objects scanned per mark burst
-	// (0 = DefaultMarkBudget). Smaller budgets mean shorter bursts and
-	// more of them.
-	MarkBudget int
+	// Statistics (the walk, stall and concurrent-cycle ones are the
+	// embedded Cycle's).
+	Collections   int64
+	WordsCopied   int64
+	ObjectsCopied int64
+	Steals        int64 // gray chunks taken from the mark pool
+	MarkTime      time.Duration
+	AssignTime    time.Duration
+	CopyTime      time.Duration
+	FixupTime     time.Duration
 
-	// Statistics.
-	Collections    int64
-	FramesTraced   int64
-	StackTraceTime time.Duration
-	TotalTime      time.Duration
-	WordsCopied    int64
-	ObjectsCopied  int64
-	Steals         int64 // gray chunks taken from the mark pool
-	MarkTime       time.Duration
-	AssignTime     time.Duration
-	CopyTime       time.Duration
-	FixupTime      time.Duration
-	// Concurrent-mode statistics.
-	Cycles         int64 // completed concurrent cycles
-	SATBLogged     int64 // old values the write barrier claimed
-	ConcMarkTime   time.Duration
-	FinalPauseTime time.Duration
-
-	// Pauses and FinalPauses, when non-nil, observe the stalls the
-	// collector already times for TotalTime, ConcMarkTime and
-	// FinalPauseTime, so observing adds no clock read: Pauses sees every
-	// mutator stall (a whole stop-the-world collection, an initial pause,
-	// each mark burst, a final pause), FinalPauses the stop a full
-	// collection ends with — all of a stop-the-world one. A host that
-	// wants a pause distribution per machine without a tracer per machine
-	// (gcserve) owns the histograms and points the collector at them.
-	Pauses, FinalPauses *telemetry.Histogram
-
-	// cyc is the in-flight concurrent cycle, nil outside one; cycle is
-	// its recycled storage.
-	cyc   *concCycle
-	cycle concCycle
+	// Cycle is the mostly-concurrent mark cycle (concurrent.go): its
+	// Concurrent and MarkBudget switch and size it.
+	Cycle
 
 	// Per-collector state recycled across collections, so a collection
 	// in steady state allocates nothing: the stack-walk arena, the
@@ -105,28 +76,10 @@ type Collector struct {
 	space CopySpace
 	marks heap.MarkSet
 
-	// Tel, when non-nil, receives per-cycle events and metrics; every
-	// probe below is guarded by a nil check so a collector without
-	// telemetry pays one branch and zero allocations.
-	Tel *telemetry.Tracer
-
-	mCollections *telemetry.Counter
-	mFrames      *telemetry.Counter
-	mCopied      *telemetry.Counter
-	mObjects     *telemetry.Counter
-	mSteals      *telemetry.Counter
-	mAdjusted    *telemetry.Counter
-	mRederived   *telemetry.Counter
-	hPause       *telemetry.Histogram
-	hWalk        *telemetry.Histogram
-	hMark        *telemetry.Histogram
-	hAssign      *telemetry.Histogram
-	hCopy        *telemetry.Histogram
-	hFixup       *telemetry.Histogram
-	hConcMark    *telemetry.Histogram
-	hFinal       *telemetry.Histogram
-	gAllocBytes  *telemetry.Gauge
-	gLiveBytes   *telemetry.Gauge
+	// probe receives per-cycle events and metrics when a tracer is
+	// attached (SetTracer); every probe is guarded by a nil check, so a
+	// collector without telemetry pays one branch and zero allocations.
+	probe        Probes
 	gLiveObjects *telemetry.Gauge
 	gCollections *telemetry.Gauge
 }
@@ -148,36 +101,52 @@ func NewWith(h *heap.Heap, dec gctab.TableDecoder) *Collector {
 // SetTracer attaches telemetry to the collector and its table decoder,
 // resolving the metric handles once so cycle probes are map-free.
 func (c *Collector) SetTracer(t *telemetry.Tracer) {
-	c.Tel = t
 	c.Dec.SetTracer(t)
+	c.probe.Bind(t)
+	c.gLiveObjects, c.gCollections = nil, nil
+	if t != nil {
+		c.gLiveObjects = t.Gauge(telemetry.GaugeHeapLiveObjects)
+		c.gCollections = t.Gauge(telemetry.GaugeHeapCollections)
+	}
+}
+
+// Probes are a precise collector's telemetry handles: Tel, and the
+// metrics both collectors and their Cycle report, resolved once per
+// tracer so a collection's probes are map-free. Without a tracer every
+// handle is nil and each probe is a no-op.
+type Probes struct {
+	Tel                                                               *telemetry.Tracer
+	Collections, Frames, Copied, Objects, Steals, Adjusted, Rederived *telemetry.Counter
+	Pause, Walk, Mark, Assign, Copy, Fixup, ConcMark, Final           *telemetry.Histogram
+	AllocBytes, LiveBytes                                             *telemetry.Gauge
+}
+
+// Bind resolves the handles against t; nil detaches them all.
+func (p *Probes) Bind(t *telemetry.Tracer) {
 	if t == nil {
-		c.mCollections, c.mFrames, c.mCopied, c.mAdjusted, c.mRederived = nil, nil, nil, nil, nil
-		c.mObjects, c.mSteals = nil, nil
-		c.hPause, c.hWalk = nil, nil
-		c.hMark, c.hAssign, c.hCopy, c.hFixup = nil, nil, nil, nil
-		c.hConcMark, c.hFinal = nil, nil
-		c.gAllocBytes, c.gLiveBytes, c.gLiveObjects, c.gCollections = nil, nil, nil, nil
+		*p = Probes{}
 		return
 	}
-	c.mCollections = t.Counter(telemetry.CtrGCCollections)
-	c.mFrames = t.Counter(telemetry.CtrGCFramesWalked)
-	c.mCopied = t.Counter(telemetry.CtrGCBytesCopied)
-	c.mObjects = t.Counter(telemetry.CtrGCObjectsCopied)
-	c.mSteals = t.Counter(telemetry.CtrGCMarkSteals)
-	c.mAdjusted = t.Counter(telemetry.CtrGCDerivedAdjusted)
-	c.mRederived = t.Counter(telemetry.CtrGCDerivedRederive)
-	c.hPause = t.Histogram(telemetry.HistGCPauseNs)
-	c.hWalk = t.Histogram(telemetry.HistGCStackWalkNs)
-	c.hMark = t.Histogram(telemetry.HistGCMarkNs)
-	c.hAssign = t.Histogram(telemetry.HistGCAssignNs)
-	c.hCopy = t.Histogram(telemetry.HistGCCopyNs)
-	c.hFixup = t.Histogram(telemetry.HistGCFixupNs)
-	c.hConcMark = t.Histogram(telemetry.HistGCConcMarkNs)
-	c.hFinal = t.Histogram(telemetry.HistGCFinalPauseNs)
-	c.gAllocBytes = t.Gauge(telemetry.GaugeHeapAllocBytes)
-	c.gLiveBytes = t.Gauge(telemetry.GaugeHeapLiveBytes)
-	c.gLiveObjects = t.Gauge(telemetry.GaugeHeapLiveObjects)
-	c.gCollections = t.Gauge(telemetry.GaugeHeapCollections)
+	*p = Probes{
+		Tel:         t,
+		Collections: t.Counter(telemetry.CtrGCCollections),
+		Frames:      t.Counter(telemetry.CtrGCFramesWalked),
+		Copied:      t.Counter(telemetry.CtrGCBytesCopied),
+		Objects:     t.Counter(telemetry.CtrGCObjectsCopied),
+		Steals:      t.Counter(telemetry.CtrGCMarkSteals),
+		Adjusted:    t.Counter(telemetry.CtrGCDerivedAdjusted),
+		Rederived:   t.Counter(telemetry.CtrGCDerivedRederive),
+		Pause:       t.Histogram(telemetry.HistGCPauseNs),
+		Walk:        t.Histogram(telemetry.HistGCStackWalkNs),
+		Mark:        t.Histogram(telemetry.HistGCMarkNs),
+		Assign:      t.Histogram(telemetry.HistGCAssignNs),
+		Copy:        t.Histogram(telemetry.HistGCCopyNs),
+		Fixup:       t.Histogram(telemetry.HistGCFixupNs),
+		ConcMark:    t.Histogram(telemetry.HistGCConcMarkNs),
+		Final:       t.Histogram(telemetry.HistGCFinalPauseNs),
+		AllocBytes:  t.Gauge(telemetry.GaugeHeapAllocBytes),
+		LiveBytes:   t.Gauge(telemetry.GaugeHeapLiveBytes),
+	}
 }
 
 // gcKind maps a collection mode to its telemetry cycle kind.
@@ -200,85 +169,72 @@ func curThread(m *vmachine.Machine) int32 {
 }
 
 // Collect implements vmachine.Collector. With Concurrent set, a direct
-// call runs the whole split cycle back-to-back (collectSplit) — the
+// call runs the whole split cycle back-to-back (Cycle.Inline) — the
 // single-threaded inline path, bitwise identical to stop-the-world; the
 // multi-threaded scheduler instead drives StartCycle/MarkStep/
 // FinishCycle itself and never calls Collect.
 func (c *Collector) Collect(m *vmachine.Machine) error {
-	if c.cyc != nil {
-		// A direct Collect landed while a cycle is in flight (an
-		// external caller; the machine's own paths finish the cycle
-		// first): drain and finish it rather than starting another.
-		return c.finishActive(m)
-	}
-	if c.ShouldStartCycle() {
-		return c.collectSplit(m)
+	if done, err := c.Inline(m, c); done {
+		return err
 	}
 	collected := false
-	defer c.endStall(time.Now(), &collected, c.Mode == ModeFull)
+	defer c.EndStall(time.Now(), &collected, c.Mode == ModeFull)
 	if c.Mode == ModeNull {
 		return nil
 	}
 	c.Collections++
 
+	p := &c.probe
 	tid := curThread(m)
 	var telStart int64
-	if c.Tel != nil {
-		telStart = c.Tel.Now()
-		c.Tel.Emit(telemetry.EvGCBegin, tid, gcKind(c.Mode),
+	if p.Tel != nil {
+		telStart = p.Tel.Now()
+		p.Tel.Emit(telemetry.EvGCBegin, tid, gcKind(c.Mode),
 			c.Heap.LiveBytes(), c.Heap.AllocatedBytes(), c.Heap.Collections)
 	}
 
-	traceStart := time.Now()
-	if err := c.walk.Machine(m, c.Dec, c.WalkWorkers); err != nil {
+	walkTime, err := c.WalkStacks(m, &c.walk, c.Dec, c.WalkWorkers, c.TraceWorkers, true)
+	if err != nil {
 		return err
 	}
-	nFrames := int64(c.walk.NumFrames())
-	c.FramesTraced += nFrames
-	if err := c.walk.AdjustDerived(m, c.TraceWorkers); err != nil {
-		return err
-	}
-	walkTime := time.Since(traceStart)
-	c.StackTraceTime += walkTime
 
 	var st TraceStats
 	if c.Mode == ModeFull {
-		var err error
 		if st, err = c.copyLive(m); err != nil {
 			return err
 		}
 	}
 	c.walk.RederiveAll(m, c.TraceWorkers)
 
-	if c.Tel != nil {
-		nDeriv := int64(c.walk.NumDerivs())
+	if p.Tel != nil {
+		nFrames, nDeriv := int64(c.walk.NumFrames()), int64(c.walk.NumDerivs())
 		copiedBytes := st.Words * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, nFrames, nDeriv, nDeriv)
-		c.mCollections.Add(1)
-		c.mFrames.Add(nFrames)
-		c.mCopied.Add(copiedBytes)
-		c.mObjects.Add(st.Objects)
-		c.mSteals.Add(st.Steals)
-		c.mAdjusted.Add(nDeriv)
-		c.mRederived.Add(nDeriv)
-		c.hWalk.Observe(int64(walkTime))
+		p.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
+		p.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, nFrames, nDeriv, nDeriv)
+		p.Collections.Add(1)
+		p.Frames.Add(nFrames)
+		p.Copied.Add(copiedBytes)
+		p.Objects.Add(st.Objects)
+		p.Steals.Add(st.Steals)
+		p.Adjusted.Add(nDeriv)
+		p.Rederived.Add(nDeriv)
+		p.Walk.Observe(int64(walkTime))
 		if c.Mode == ModeFull {
-			c.hMark.Observe(int64(st.Mark))
-			c.hAssign.Observe(int64(st.Assign))
-			c.hCopy.Observe(int64(st.Copy))
-			c.hFixup.Observe(int64(st.Fixup))
+			p.Mark.Observe(int64(st.Mark))
+			p.Assign.Observe(int64(st.Assign))
+			p.Copy.Observe(int64(st.Copy))
+			p.Fixup.Observe(int64(st.Fixup))
 		}
-		pause := c.Tel.Now() - telStart
-		c.hPause.Observe(pause)
+		pause := p.Tel.Now() - telStart
+		p.Pause.Observe(pause)
 		if c.Mode == ModeFull {
 			// A stop-the-world collection's "final pause" is the whole
 			// pause, so concurrent-vs-STW SLO comparisons read one
 			// histogram.
-			c.hFinal.Observe(pause)
+			p.Final.Observe(pause)
 		}
-		c.gAllocBytes.Set(c.Heap.AllocatedBytes())
-		c.gLiveBytes.Set(c.Heap.LiveBytes())
+		p.AllocBytes.Set(c.Heap.AllocatedBytes())
+		p.LiveBytes.Set(c.Heap.LiveBytes())
 		c.gLiveObjects.Set(c.Heap.LiveObjects)
 		c.gCollections.Set(c.Heap.Collections)
 	}
@@ -286,24 +242,57 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	return nil
 }
 
-// endStall, deferred with the stall's start, accrues its duration to
-// TotalTime and, if the stall ran to completion (*done), observes it.
-func (c *Collector) endStall(start time.Time, done *bool, final bool) {
-	d := time.Since(start)
-	c.TotalTime += d
-	if *done {
-		c.observePause(d, final)
+// ShouldStartCycle implements vmachine.ConcurrentCollector: only full
+// compacting collections run concurrently (the trace-only and null
+// timing modes have no mark set to build incrementally).
+func (c *Collector) ShouldStartCycle() bool {
+	return c.Concurrent && c.Mode == ModeFull
+}
+
+// StartCycle implements vmachine.ConcurrentCollector: the initial
+// root-scan pause (Cycle.Start).
+func (c *Collector) StartCycle(m *vmachine.Machine) error { return c.Start(m, c) }
+
+// FinishCycle implements vmachine.ConcurrentCollector: the final pause
+// (Cycle.Finish).
+func (c *Collector) FinishCycle(m *vmachine.Machine) error { return c.Finish(m, c) }
+
+// CycleEnv implements CycleHost: a cycle marks the whole from-space
+// quota, past the allocation watermark (black allocations during the
+// cycle claim addresses there), from the walked stacks alone.
+func (c *Collector) CycleEnv() CycleEnv {
+	h := c.Heap
+	return CycleEnv{
+		Walk: &c.walk, Dec: c.Dec, WalkWorkers: c.WalkWorkers, TraceWorkers: c.TraceWorkers,
+		Space: c.copySpace(h.FromLo, h.Limit),
+		Heap:  h, Kind: telemetry.GCFull, Count: h.Collections, Probes: &c.probe,
 	}
 }
 
-// observePause records one completed stall of duration d in the host's
-// histograms (nil histograms ignore it); final marks the stop that ends
-// a full collection.
-func (c *Collector) observePause(d time.Duration, final bool) {
-	c.Pauses.Observe(int64(d))
-	if final {
-		c.FinalPauses.Observe(int64(d))
+// CycleTail implements CycleHost: copy the marked set into to-space and
+// flip the semispaces.
+func (c *Collector) CycleTail(_ *vmachine.Machine, roots []*int64) (TraceStats, error) {
+	h := c.Heap
+	st, err := FinishCopy(roots, &c.space, c.TraceWorkers)
+	if err != nil {
+		return st, err
 	}
+	c.Collections++
+	c.WordsCopied += st.Words
+	c.ObjectsCopied += st.Objects
+	c.AssignTime += st.Assign
+	c.CopyTime += st.Copy
+	c.FixupTime += st.Fixup
+	h.AddCopied(st.Objects)
+	h.FinishCollection(st.Next)
+	if c.Debug {
+		if err := h.Check(); err != nil {
+			return st, err
+		}
+	}
+	c.gLiveObjects.Set(h.LiveObjects)
+	c.gCollections.Set(h.Collections)
+	return st, nil
 }
 
 // copySpace aims the collector's CopySpace at the from-space span

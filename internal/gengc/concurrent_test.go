@@ -11,6 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/driver"
+	"repro/internal/gc"
+	"repro/internal/gctab"
+	"repro/internal/gengc"
+	"repro/internal/types"
 	"repro/internal/vmachine"
 )
 
@@ -200,4 +204,157 @@ END T.
 	if cycles != majorConc {
 		t.Errorf("cycles %d != majors %d: every split major is one cycle", cycles, majorConc)
 	}
+}
+
+// TestConcurrentMajorHookWiring pins how the generational collector
+// wires the shared cycle into the machine: StartCycle arms the SATB and
+// black-allocation hooks, a pretenured old-space allocation made during
+// the cycle is claimed black (so the barrier has nothing left to log
+// for it), and FinishCycle disarms both hooks.
+func TestConcurrentMajorHookWiring(t *testing.T) {
+	src := `
+MODULE H;
+TYPE Vec = REF ARRAY OF INTEGER;
+VAR v: Vec;
+BEGIN
+  v := NEW(Vec, 4);
+  v[0] := 7;
+  GcCollect();
+  PutInt(v[0]); PutLn();
+END H.
+`
+	opts := driver.NewOptions()
+	opts.Generational = true
+	opts.ConcurrentMark = true
+	c, err := driver.Compile("h.m3", src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vmachine.DefaultConfig()
+	cfg.HeapWords = 1 << 14
+	var sb strings.Builder
+	cfg.Out = &sb
+	m, col, err := c.NewGenerationalMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := descOfKind(t, col, types.DescOpenArray)
+	ran := false
+	m.Collector = collectorFunc(func(m *vmachine.Machine) error {
+		if ran {
+			return col.Collect(m)
+		}
+		ran = true
+		if err := col.StartCycle(m); err != nil {
+			return err
+		}
+		if m.SATB == nil || m.AllocMark == nil {
+			t.Fatalf("StartCycle left hooks disarmed (SATB set %v, AllocMark set %v)", m.SATB != nil, m.AllocMark != nil)
+		}
+		// Larger than half the nursery: both go straight to old space.
+		n := (col.Heap.Hi - col.Heap.Lo) / 8
+		black, ok1 := m.Alloc.TryAlloc(vec, n)
+		white, ok2 := m.Alloc.TryAlloc(vec, n)
+		if !ok1 || !ok2 || !col.Heap.InOld(black) || !col.Heap.InOld(white) {
+			t.Fatalf("pretenured allocations failed or landed young (%v %v, old %v %v)",
+				ok1, ok2, col.Heap.InOld(black), col.Heap.InOld(white))
+		}
+		m.AllocMark(black) // what the machine's allocation paths do mid-cycle
+		logged := col.SATBLogged
+		m.SATB(black)
+		if col.SATBLogged != logged {
+			t.Errorf("the barrier logged a black allocation: it was never claimed")
+		}
+		// The control: an object the hook never saw is still white.
+		m.SATB(white)
+		if col.SATBLogged != logged+1 {
+			t.Errorf("SATBLogged %d after logging a white object, want %d", col.SATBLogged, logged+1)
+		}
+		if err := col.FinishCycle(m); err != nil {
+			return err
+		}
+		if m.SATB != nil || m.AllocMark != nil {
+			t.Errorf("FinishCycle left hooks armed (SATB set %v, AllocMark set %v)", m.SATB != nil, m.AllocMark != nil)
+		}
+		return nil
+	})
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !ran || col.Cycles != 1 || col.Major != 1 {
+		t.Fatalf("ran=%v cycles=%d majors=%d, want one concurrent major", ran, col.Cycles, col.Major)
+	}
+	if sb.String() != "7\n" {
+		t.Errorf("output %q, want %q", sb.String(), "7\n")
+	}
+}
+
+// descOfKind returns the ID of the first descriptor of kind k in the
+// collector's heap.
+func descOfKind(t *testing.T, col *gengc.Collector, k types.DescKind) int {
+	t.Helper()
+	for _, d := range col.Heap.Descs.Descs {
+		if d.Kind == k {
+			return d.ID
+		}
+	}
+	t.Fatalf("no descriptor of kind %v", k)
+	return 0
+}
+
+// TestConcurrentMajorFinalPauseCatchesUnmarkedRoot simulates a missed
+// barrier: after the initial pause a root slot is pointed at an object
+// the cycle never claimed (allocated with the black-allocation hook
+// bypassed). FinishCycle must refuse with the clean SATB-invariant
+// error before it copies anything.
+func TestConcurrentMajorFinalPauseCatchesUnmarkedRoot(t *testing.T) {
+	var col *gengc.Collector
+	var finishErr error
+	var copied, objects, majors int64
+	m := deepGen(t, 8, true, func(c *gengc.Collector) vmachine.Collector {
+		col = c
+		list := descOfKind(t, c, types.DescRecord)
+		return collectorFunc(func(m *vmachine.Machine) error {
+			if err := c.StartCycle(m); err != nil {
+				return err
+			}
+			copied, objects, majors = c.MajorCopied, c.ObjectsCopied, c.Major
+			hideInRoot(t, m, c.Dec, list)
+			finishErr = c.FinishCycle(m)
+			return finishErr
+		})
+	})
+	err := m.Run(0)
+	if finishErr == nil || err == nil {
+		t.Fatalf("FinishCycle accepted an unmarked root (run error %v)", err)
+	}
+	if !strings.Contains(finishErr.Error(), "unmarked at final pause") {
+		t.Errorf("FinishCycle error %q, want the SATB-invariant error", finishErr)
+	}
+	if col.MajorCopied != copied || col.ObjectsCopied != objects || col.Major != majors {
+		t.Errorf("the refused cycle copied: words %d→%d, objects %d→%d, majors %d→%d",
+			copied, col.MajorCopied, objects, col.ObjectsCopied, majors, col.Major)
+	}
+}
+
+// hideInRoot points one live root slot at a fresh object allocated
+// without the black-allocation hook: a white object no mark step will
+// ever reach.
+func hideInRoot(t *testing.T, m *vmachine.Machine, dec gctab.TableDecoder, desc int) {
+	t.Helper()
+	var w gc.Walk
+	if err := w.Machine(m, dec, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, slot := range w.Roots(m, nil) {
+		if *slot != 0 {
+			addr, ok := m.Alloc.TryAlloc(desc, 0)
+			if !ok {
+				t.Fatal("allocation for the hidden object failed")
+			}
+			*slot = addr
+			return
+		}
+	}
+	t.Fatal("no live root to hide an object in")
 }

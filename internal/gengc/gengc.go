@@ -210,17 +210,6 @@ type Collector struct {
 	// heap is bitwise identical at any width.
 	TraceWorkers int
 
-	// Concurrent enables mostly-concurrent marking for major cycles
-	// (concurrent.go): the escalation that would run a stop-the-world
-	// major instead starts an incremental mark with the SATB barrier
-	// armed, keeping only the copy/flip in the final pause. Minor
-	// collections stay stop-the-world — a nursery scan is already
-	// bounded by the (small) nursery size.
-	Concurrent bool
-	// MarkBudget bounds the gray objects scanned per mark burst
-	// (0 = gc.DefaultMarkBudget).
-	MarkBudget int
-
 	remset map[int64]bool // old-space slot addresses holding young pointers
 
 	// Per-collector state recycled across collections, so a minor in
@@ -234,63 +223,41 @@ type Collector struct {
 	majorSpace gc.CopySpace
 	marks      heap.MarkSet
 
-	// cyc is the in-flight concurrent major cycle, nil outside one.
-	cyc *concCycle
+	// Statistics (the walk, stall and concurrent-cycle ones are the
+	// embedded Cycle's).
+	Minor         int64
+	Major         int64
+	BarrierHits   int64 // barriered stores that recorded a remembered slot
+	BarrierChecks int64 // barriered stores executed (the store-check cost)
+	PromotedWords int64
+	MajorCopied   int64
+	ObjectsCopied int64
+	Steals        int64
+	RemsetPeak    int
+	MarkTime      time.Duration
+	AssignTime    time.Duration
+	CopyTime      time.Duration
+	FixupTime     time.Duration
 
-	// Statistics.
-	Minor          int64
-	Major          int64
-	BarrierHits    int64 // barriered stores that recorded a remembered slot
-	BarrierChecks  int64 // barriered stores executed (the store-check cost)
-	PromotedWords  int64
-	MajorCopied    int64
-	ObjectsCopied  int64
-	Steals         int64
-	RemsetPeak     int
-	Cycles         int64 // completed concurrent major cycles
-	SATBLogged     int64 // old values the write barrier claimed
-	TotalTime      time.Duration
-	StackTraceTime time.Duration
-	MarkTime       time.Duration
-	AssignTime     time.Duration
-	CopyTime       time.Duration
-	FixupTime      time.Duration
-	ConcMarkTime   time.Duration
-	FinalPauseTime time.Duration
+	// Cycle runs concurrent majors (concurrent.go): with its Concurrent
+	// set, the escalation that would run a stop-the-world major instead
+	// starts an incremental mark with the SATB barrier armed, keeping
+	// only the copy/flip in the final pause. Minor collections stay
+	// stop-the-world — a nursery scan is already bounded by the (small)
+	// nursery size.
+	gc.Cycle
 
-	// Pauses and FinalPauses, when non-nil, observe the stalls already
-	// timed for TotalTime, ConcMarkTime and FinalPauseTime (see
-	// gc.Collector.Pauses): no tracer, no extra clock read.
-	Pauses, FinalPauses *telemetry.Histogram
-
-	// Tel, when non-nil, receives per-cycle events and metrics. The
-	// barrier itself stays probe-free (it runs on every barriered
-	// store); its cumulative counts are published as gauges per cycle.
-	Tel *telemetry.Tracer
-
-	mCollections *telemetry.Counter
-	mMinor       *telemetry.Counter
-	mMajor       *telemetry.Counter
-	mFrames      *telemetry.Counter
-	mCopied      *telemetry.Counter
-	mObjects     *telemetry.Counter
-	mSteals      *telemetry.Counter
-	mPromoted    *telemetry.Counter
-	mAdjusted    *telemetry.Counter
-	mRederived   *telemetry.Counter
-	hPause       *telemetry.Histogram
-	hWalk        *telemetry.Histogram
-	hMark        *telemetry.Histogram
-	hAssign      *telemetry.Histogram
-	hCopy        *telemetry.Histogram
-	hFixup       *telemetry.Histogram
-	hConcMark    *telemetry.Histogram
-	hFinal       *telemetry.Histogram
-	gAllocBytes  *telemetry.Gauge
-	gLiveBytes   *telemetry.Gauge
-	gBarChecks   *telemetry.Gauge
-	gBarHits     *telemetry.Gauge
-	gRemset      *telemetry.Gauge
+	// probe receives per-cycle events and metrics when a tracer is
+	// attached. The barrier itself stays probe-free (it runs on every
+	// barriered store); its cumulative counts are published as gauges
+	// per cycle.
+	probe      gc.Probes
+	mMinor     *telemetry.Counter
+	mMajor     *telemetry.Counter
+	mPromoted  *telemetry.Counter
+	gBarChecks *telemetry.Gauge
+	gBarHits   *telemetry.Gauge
+	gRemset    *telemetry.Gauge
 }
 
 // New creates a generational collector over h, decoding tables on
@@ -307,38 +274,16 @@ func NewWith(h *Heap, dec gctab.TableDecoder) *Collector {
 
 // SetTracer attaches telemetry to the collector and its table decoder.
 func (c *Collector) SetTracer(t *telemetry.Tracer) {
-	c.Tel = t
 	c.Dec.SetTracer(t)
+	c.probe.Bind(t)
+	c.mMinor, c.mMajor, c.mPromoted = nil, nil, nil
+	c.gBarChecks, c.gBarHits, c.gRemset = nil, nil, nil
 	if t == nil {
-		c.mCollections, c.mMinor, c.mMajor, c.mFrames = nil, nil, nil, nil
-		c.mCopied, c.mPromoted, c.mAdjusted, c.mRederived = nil, nil, nil, nil
-		c.mObjects, c.mSteals = nil, nil
-		c.hPause, c.hWalk = nil, nil
-		c.hMark, c.hAssign, c.hCopy, c.hFixup = nil, nil, nil, nil
-		c.hConcMark, c.hFinal = nil, nil
-		c.gAllocBytes, c.gLiveBytes, c.gBarChecks, c.gBarHits, c.gRemset = nil, nil, nil, nil, nil
 		return
 	}
-	c.mCollections = t.Counter(telemetry.CtrGCCollections)
 	c.mMinor = t.Counter(telemetry.CtrGenMinor)
 	c.mMajor = t.Counter(telemetry.CtrGenMajor)
-	c.mFrames = t.Counter(telemetry.CtrGCFramesWalked)
-	c.mCopied = t.Counter(telemetry.CtrGCBytesCopied)
-	c.mObjects = t.Counter(telemetry.CtrGCObjectsCopied)
-	c.mSteals = t.Counter(telemetry.CtrGCMarkSteals)
 	c.mPromoted = t.Counter(telemetry.CtrGenPromotedBytes)
-	c.mAdjusted = t.Counter(telemetry.CtrGCDerivedAdjusted)
-	c.mRederived = t.Counter(telemetry.CtrGCDerivedRederive)
-	c.hPause = t.Histogram(telemetry.HistGCPauseNs)
-	c.hWalk = t.Histogram(telemetry.HistGCStackWalkNs)
-	c.hMark = t.Histogram(telemetry.HistGCMarkNs)
-	c.hAssign = t.Histogram(telemetry.HistGCAssignNs)
-	c.hCopy = t.Histogram(telemetry.HistGCCopyNs)
-	c.hFixup = t.Histogram(telemetry.HistGCFixupNs)
-	c.hConcMark = t.Histogram(telemetry.HistGCConcMarkNs)
-	c.hFinal = t.Histogram(telemetry.HistGCFinalPauseNs)
-	c.gAllocBytes = t.Gauge(telemetry.GaugeHeapAllocBytes)
-	c.gLiveBytes = t.Gauge(telemetry.GaugeHeapLiveBytes)
 	c.gBarChecks = t.Gauge(telemetry.GaugeGenBarrierChecks)
 	c.gBarHits = t.Gauge(telemetry.GaugeGenBarrierHits)
 	c.gRemset = t.Gauge(telemetry.GaugeGenRemset)
@@ -362,59 +307,45 @@ func (c *Collector) RemsetSize() int { return len(c.remset) }
 // Collect implements vmachine.Collector: a minor collection, escalating
 // to a major one when the old space cannot absorb the survivors. With
 // Concurrent set, an escalation called directly runs the whole split
-// major cycle back-to-back (collectSplit); the multi-threaded scheduler
-// drives the split phases itself through the ConcurrentCollector
-// protocol and never reaches this path for them.
+// major cycle back-to-back (gc.Cycle.Inline); the multi-threaded
+// scheduler drives the split phases itself through the
+// ConcurrentCollector protocol and never reaches this path for them.
 func (c *Collector) Collect(m *vmachine.Machine) error {
-	if c.cyc != nil {
-		return c.finishActive(m)
-	}
-	if c.ShouldStartCycle() {
-		return c.collectSplit(m)
+	if done, err := c.Inline(m, c); done {
+		return err
 	}
 	collected := false
-	defer c.endStall(time.Now(), &collected, true)
-
-	if len(c.remset) > c.RemsetPeak {
-		c.RemsetPeak = len(c.remset)
-	}
+	defer c.EndStall(time.Now(), &collected, true)
+	c.noteRemset()
 
 	h := c.Heap
-	// A minor collection promotes every young survivor; ensure the old
-	// space can absorb the whole nursery, else go major first. A failed
-	// direct old-space allocation also escalates. (Decided before the
-	// stack walk: the escalation test only reads allocation state.)
-	escalate := h.pendingOld || h.oldFrom+h.oldSemi-h.oldAlloc < h.nurseryAlloc-h.Lo
+	// Decided before the stack walk: the escalation test only reads
+	// allocation state.
+	escalate := h.mustEscalate()
 
+	p := &c.probe
 	var tid int32 = -1
 	if m.Cur != nil {
 		tid = int32(m.Cur.ID)
 	}
 	var telStart int64
-	if c.Tel != nil {
-		telStart = c.Tel.Now()
+	if p.Tel != nil {
+		telStart = p.Tel.Now()
 		kind := telemetry.GCMinor
 		if escalate {
 			kind = telemetry.GCMajor
 		}
-		c.gRemset.Set(int64(len(c.remset)))
-		c.Tel.Emit(telemetry.EvGCBegin, tid, kind,
+		p.Tel.Emit(telemetry.EvGCBegin, tid, kind,
 			h.LiveBytes(), h.AllocatedBytes(), c.Minor+c.Major)
 	}
 
-	traceStart := time.Now()
-	if err := c.walk.Machine(m, c.Dec, c.WalkWorkers); err != nil {
+	walkTime, err := c.WalkStacks(m, &c.walk, c.Dec, c.WalkWorkers, c.TraceWorkers, true)
+	if err != nil {
 		return err
 	}
-	if err := c.walk.AdjustDerived(m, c.TraceWorkers); err != nil {
-		return err
-	}
-	walkTime := time.Since(traceStart)
-	c.StackTraceTime += walkTime
 
 	promotedBefore, copiedBefore := c.PromotedWords, c.MajorCopied
 	var st gc.TraceStats
-	var err error
 	if escalate {
 		h.pendingOld = false
 		st, err = c.major(m)
@@ -433,36 +364,36 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 
 	c.walk.RederiveAll(m, c.TraceWorkers)
 
-	if c.Tel != nil {
+	if p.Tel != nil {
 		nFrames, nDeriv := int64(c.walk.NumFrames()), int64(c.walk.NumDerivs())
 		movedBytes := (c.PromotedWords - promotedBefore + c.MajorCopied - copiedBefore) * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, movedBytes, nFrames, nDeriv, nDeriv)
-		c.mCollections.Add(1)
+		p.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), nFrames, 0, 0)
+		p.Tel.Emit(telemetry.EvGCEnd, tid, movedBytes, nFrames, nDeriv, nDeriv)
+		p.Collections.Add(1)
 		if escalate {
 			c.mMajor.Add(1)
 		} else {
 			c.mMinor.Add(1)
 			c.mPromoted.Add(movedBytes)
 		}
-		c.mFrames.Add(nFrames)
-		c.mCopied.Add(movedBytes)
-		c.mObjects.Add(st.Objects)
-		c.mSteals.Add(st.Steals)
-		c.mAdjusted.Add(nDeriv)
-		c.mRederived.Add(nDeriv)
-		c.hWalk.Observe(int64(walkTime))
-		c.hMark.Observe(int64(st.Mark))
-		c.hAssign.Observe(int64(st.Assign))
-		c.hCopy.Observe(int64(st.Copy))
-		c.hFixup.Observe(int64(st.Fixup))
-		pause := c.Tel.Now() - telStart
-		c.hPause.Observe(pause)
+		p.Frames.Add(nFrames)
+		p.Copied.Add(movedBytes)
+		p.Objects.Add(st.Objects)
+		p.Steals.Add(st.Steals)
+		p.Adjusted.Add(nDeriv)
+		p.Rederived.Add(nDeriv)
+		p.Walk.Observe(int64(walkTime))
+		p.Mark.Observe(int64(st.Mark))
+		p.Assign.Observe(int64(st.Assign))
+		p.Copy.Observe(int64(st.Copy))
+		p.Fixup.Observe(int64(st.Fixup))
+		pause := p.Tel.Now() - telStart
+		p.Pause.Observe(pause)
 		// A stop-the-world collection's "final pause" is its whole
 		// pause (see telemetry.HistGCFinalPauseNs).
-		c.hFinal.Observe(pause)
-		c.gAllocBytes.Set(h.AllocatedBytes())
-		c.gLiveBytes.Set(h.LiveBytes())
+		p.Final.Observe(pause)
+		p.AllocBytes.Set(h.AllocatedBytes())
+		p.LiveBytes.Set(h.LiveBytes())
 		c.gBarChecks.Set(c.BarrierChecks)
 		c.gBarHits.Set(c.BarrierHits)
 	}
@@ -470,36 +401,32 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	return nil
 }
 
-// endStall, deferred with the stall's start, accrues its duration to
-// TotalTime and, if the stall ran to completion (*done), observes it.
-func (c *Collector) endStall(start time.Time, done *bool, final bool) {
-	d := time.Since(start)
-	c.TotalTime += d
-	if *done {
-		c.observePause(d, final)
-	}
+// mustEscalate reports whether the next collection has to be a major:
+// a minor promotes every young survivor, so the old space must be able
+// to absorb the whole nursery; a failed direct old-space allocation
+// also escalates.
+func (h *Heap) mustEscalate() bool {
+	return h.pendingOld || h.oldFrom+h.oldSemi-h.oldAlloc < h.nurseryAlloc-h.Lo
 }
 
-// observePause records one completed stall of duration d in the host's
-// histograms (nil histograms ignore it); final marks the stop that ends
-// a collection.
-func (c *Collector) observePause(d time.Duration, final bool) {
-	c.Pauses.Observe(int64(d))
-	if final {
-		c.FinalPauses.Observe(int64(d))
+// noteRemset records the remembered set's size as a collection begins:
+// its peak, and the gauge a tracer reads.
+func (c *Collector) noteRemset() {
+	if len(c.remset) > c.RemsetPeak {
+		c.RemsetPeak = len(c.remset)
 	}
+	c.gRemset.Set(int64(len(c.remset)))
 }
 
-// rootsWithRemset is the collection's root list: the precise roots
-// of the walked stacks plus the remembered old-space slots, the latter
-// in address order so the list itself is deterministic.
-func (c *Collector) rootsWithRemset(m *vmachine.Machine) []*int64 {
+// remsetSlots returns the remembered old-space slots in address order,
+// so a root list built from them (Walk.Roots) is deterministic.
+func (c *Collector) remsetSlots() []int64 {
 	c.slots = c.slots[:0]
 	for slot := range c.remset {
 		c.slots = append(c.slots, slot)
 	}
 	slices.Sort(c.slots)
-	return c.walk.Roots(m, c.slots)
+	return c.slots
 }
 
 // bindSpace fills in the parts of a CopySpace that never change. Callers
@@ -533,7 +460,7 @@ func (c *Collector) minor(m *vmachine.Machine) (gc.TraceStats, error) {
 	sp.ToBase, sp.ToLimit = h.oldAlloc, h.oldFrom+h.oldSemi
 	c.marks.Reset(h.Lo, h.nurseryAlloc)
 	sp.Marks = &c.marks
-	st, err := gc.TraceCopy(c.rootsWithRemset(m), sp, c.TraceWorkers)
+	st, err := gc.TraceCopy(c.walk.Roots(m, c.remsetSlots()), sp, c.TraceWorkers)
 	if err != nil {
 		return st, err
 	}
@@ -578,7 +505,7 @@ func (c *Collector) major(m *vmachine.Machine) (gc.TraceStats, error) {
 			return nil
 		}
 	}
-	st, err := gc.TraceCopy(c.rootsWithRemset(m), sp, c.TraceWorkers)
+	st, err := gc.TraceCopy(c.walk.Roots(m, c.remsetSlots()), sp, c.TraceWorkers)
 	if err != nil {
 		return st, err
 	}

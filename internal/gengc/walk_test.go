@@ -14,11 +14,12 @@ import (
 
 // deepGen builds a generational machine that will force a collection at
 // the bottom of a depth-frame stack, with probe standing in for its
-// collector.
-func deepGen(t *testing.T, depth int, probe func(*gengc.Collector) vmachine.Collector) *vmachine.Machine {
+// collector; concurrent turns on concurrent majors.
+func deepGen(t *testing.T, depth int, concurrent bool, probe func(*gengc.Collector) vmachine.Collector) *vmachine.Machine {
 	t.Helper()
 	opts := driver.NewOptions()
 	opts.Generational = true
+	opts.ConcurrentMark = concurrent
 	opts.WalkWorkers, opts.TraceWorkers = 1, 1
 	c, err := driver.Compile("deepwalk.m3", bench.DeepWalkSource(depth, 2), opts)
 	if err != nil {
@@ -44,7 +45,7 @@ func (f collectorFunc) Collect(m *vmachine.Machine) error { return f(m) }
 // same code as the full one, so a saved FP that points back down the
 // stack must end its collection with the same clean error, not a hang.
 func TestCorruptFrameChain(t *testing.T) {
-	m := deepGen(t, 8, func(col *gengc.Collector) vmachine.Collector {
+	m := deepGen(t, 8, false, func(col *gengc.Collector) vmachine.Collector {
 		return collectorFunc(func(m *vmachine.Machine) error {
 			var walk gc.Walk
 			if err := walk.Machine(m, col.Dec, 1); err != nil {
@@ -76,7 +77,7 @@ func TestMinorAllocs(t *testing.T) {
 	var minors int64
 	var col *gengc.Collector
 	done := false
-	m := deepGen(t, depth, func(c *gengc.Collector) vmachine.Collector {
+	m := deepGen(t, depth, false, func(c *gengc.Collector) vmachine.Collector {
 		col = c
 		return collectorFunc(func(m *vmachine.Machine) error {
 			if done {
@@ -109,5 +110,64 @@ func TestMinorAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("%.1f allocations per steady-state minor, want 0", allocs)
+	}
+}
+
+// TestConcurrentMajorAllocs pins the allocation-free concurrent major at
+// serial width: under a 120-frame stack, once the collector's arenas
+// have grown, a whole cycle — StartCycle, every MarkStep, FinishCycle —
+// walks, marks, copies and flips without a single Go allocation.
+func TestConcurrentMajorAllocs(t *testing.T) {
+	const depth = 120
+	var allocs float64
+	var cycles, frames int64
+	done := false
+	m := deepGen(t, depth, true, func(c *gengc.Collector) vmachine.Collector {
+		return collectorFunc(func(m *vmachine.Machine) error {
+			if done {
+				return c.Collect(m)
+			}
+			done = true
+			var first error
+			keep := func(err error) {
+				if err != nil && first == nil {
+					first = err
+				}
+			}
+			cycle := func() {
+				keep(c.StartCycle(m))
+				for {
+					finished, err := c.MarkStep(m)
+					keep(err)
+					if finished || err != nil {
+						break
+					}
+				}
+				keep(c.FinishCycle(m))
+			}
+			for i := 0; i < 3; i++ {
+				cycle()
+			}
+			before, framesBefore := c.Cycles, c.FramesTraced
+			allocs = testing.AllocsPerRun(50, cycle)
+			cycles, frames = c.Cycles-before, c.FramesTraced-framesBefore
+			return first
+		})
+	})
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		t.Fatal("the forced collection never ran")
+	}
+	if cycles != 51 {
+		t.Fatalf("measured %d concurrent majors, want 51", cycles)
+	}
+	// Two walks a cycle: the initial pause and the final one.
+	if frames < 2*depth*cycles {
+		t.Fatalf("%d cycles walked %d frames, want at least %d", cycles, frames, 2*depth*cycles)
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per steady-state concurrent major, want 0", allocs)
 	}
 }
