@@ -28,7 +28,8 @@ vet-gcverify:
 
 # Project-specific static checks (internal/lint): range-over-map in the
 # packages where iteration order would leak into generated code or gc
-# tables and break compile determinism.
+# tables and break compile determinism — the optimizer, the analyses and
+# the register allocator it feeds, codegen and the table encoder.
 lint:
 	$(GO) run ./cmd/gclint
 
@@ -44,12 +45,13 @@ build:
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/heap/... ./internal/gc/... ./internal/gctab/... ./internal/gengc/... ./internal/vmachine/... ./internal/driver/... ./internal/gcserve/...
 
-# The zero-allocation guards in one command: a steady-state collection
-# (gc), a steady-state minor (gengc), a scheduler slice with its
-# stat-row update (gcserve), and a slow-path allocation that collects
-# (vmachine) must not allocate.
+# The allocation guards in one command. A steady-state collection (gc),
+# a steady-state minor (gengc), a scheduler slice with its stat-row
+# update (gcserve), and a slow-path allocation that collects (vmachine)
+# must not allocate; a compile of each paper program (driver) must stay
+# under its ceiling.
 allocs:
-	$(GO) test -count=1 -run Allocs ./internal/gc ./internal/gengc ./internal/gcserve ./internal/vmachine
+	$(GO) test -count=1 -run Allocs ./internal/gc ./internal/gengc ./internal/gcserve ./internal/vmachine ./internal/driver
 
 test-all:
 	$(GO) test ./...

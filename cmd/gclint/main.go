@@ -8,8 +8,10 @@
 //	gclint [-root DIR] [package-dir ...]
 //
 // Package directories are relative to the repo root and default to
-// the determinism-critical trio: internal/opt, internal/codegen,
-// internal/gctab. Exit status is 1 when any finding is reported.
+// lint.DefaultPackages, the determinism-critical path from IR to code
+// and tables: internal/opt, internal/analysis, internal/regalloc,
+// internal/codegen, internal/gctab. Exit status is 1 when any finding
+// is reported.
 package main
 
 import (
@@ -25,7 +27,7 @@ func main() {
 	flag.Parse()
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
-		pkgs = []string{"internal/opt", "internal/codegen", "internal/gctab"}
+		pkgs = lint.DefaultPackages
 	}
 	findings, err := lint.Check(*root, pkgs)
 	if err != nil {

@@ -91,6 +91,7 @@ func ComputeDerivInfo(p *ir.Proc) *DerivInfo {
 // derivation.
 func (di *DerivInfo) Ambiguous() []ir.Reg {
 	var out []ir.Reg
+	// gclint:ordered keys are collected then sorted; iteration order is erased.
 	for r, s := range di.Summaries {
 		if len(s.Variants) > 1 {
 			out = append(out, r)

@@ -46,6 +46,11 @@ func (f Finding) String() string {
 		f.Pos, f.Expr, f.Type)
 }
 
+// DefaultPackages is the determinism-critical path from IR to code and
+// tables: the optimizer, the analyses and register allocator it feeds,
+// codegen and the table encoder.
+var DefaultPackages = []string{"internal/opt", "internal/analysis", "internal/regalloc", "internal/codegen", "internal/gctab"}
+
 // Check typechecks the named packages (directories relative to the
 // repo root, e.g. "internal/opt") and returns every unsuppressed
 // range-over-map in them. Module-local imports are resolved by

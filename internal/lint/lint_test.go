@@ -125,7 +125,7 @@ func Keys(t defs.Table) []string {
 // this is the same scan CI runs, kept close to the checker so a new
 // range-over-map in the compiler fails tests immediately.
 func TestRepositoryIsClean(t *testing.T) {
-	fs, err := Check("../..", []string{"internal/opt", "internal/codegen", "internal/gctab"})
+	fs, err := Check("../..", DefaultPackages)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/gc"
 	"repro/internal/gctab"
 	"repro/internal/heap"
-	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/opt"
 	"repro/internal/parser"
@@ -31,23 +30,19 @@ func TestBisectPasses(t *testing.T) {
 	}
 	src := string(srcBytes)
 
-	stages := []struct {
-		name string
-		run  func(p *ir.Proc, stage int)
-	}{
-		{"none", func(p *ir.Proc, k int) {}},
-		{"constfold", func(p *ir.Proc, k int) { opt.ConstFold(p) }},
-		{"copyprop", func(p *ir.Proc, k int) { opt.CopyProp(p) }},
-		{"cse", func(p *ir.Proc, k int) { opt.CSE(p) }},
-		{"licm", func(p *ir.Proc, k int) { opt.LICM(p) }},
-		{"strengthred", func(p *ir.Proc, k int) { opt.StrengthReduce(p) }},
-		{"copyprop2", func(p *ir.Proc, k int) { opt.CopyProp(p) }},
-		{"cse2", func(p *ir.Proc, k int) { opt.CSE(p) }},
-		{"constfold2", func(p *ir.Proc, k int) { opt.ConstFold(p) }},
-		{"dce", func(p *ir.Proc, k int) { opt.DCE(p, true) }},
+	// Stage k runs the first k optimizing entries of the pipeline; the
+	// gc-support entries, which run at level 0 too, always run.
+	full := opt.Options{Level: 1, GCSupport: true}
+	level0 := opt.Options{GCSupport: true}
+	passes := opt.Passes()
+	stages := []string{"none"}
+	for _, ps := range passes {
+		if ps.On(full) && !ps.On(level0) {
+			stages = append(stages, ps.Name)
+		}
 	}
 
-	for upto := 0; upto < len(stages); upto++ {
+	for upto := range stages {
 		f := source.NewFile("b.m3", src)
 		errs := source.NewErrorList(f)
 		mod := parser.Parse(f, errs)
@@ -57,11 +52,11 @@ func TestBisectPasses(t *testing.T) {
 		}
 		irp := irgen.Build(prog)
 		for _, p := range irp.Procs {
-			for k := 1; k <= upto; k++ {
-				stages[k].run(p, k)
+			for k, ps := range passes {
+				if ps.On(full) && (k < upto || ps.On(level0)) {
+					ps.Run(p, full)
+				}
 			}
-			opt.PreserveBases(p)
-			opt.InsertPathVars(p)
 		}
 		vmProg, tables, err := codegen.Generate(irp, codegen.Options{GCSupport: true})
 		if err != nil {
@@ -78,8 +73,8 @@ func TestBisectPasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := m.Run(10_000_000); err != nil {
-			t.Fatalf("stage %s: %v", stages[upto].name, err)
+			t.Fatalf("stage %s: %v", stages[upto], err)
 		}
-		t.Logf("through %-12s => %q", stages[upto].name, sb.String())
+		t.Logf("through %-14s => %q", stages[upto], sb.String())
 	}
 }

@@ -9,9 +9,11 @@ import "repro/internal/ir"
 // reproduces the compiler the paper compares against in §6.2, which may
 // delete a base while a value derived from it is still live.
 func DCE(p *ir.Proc, gcSupport bool) {
+	uses := make([]int32, p.NumRegs()) // uses[r] counts r's readers
+	var buf []ir.Reg
+	var dead []bool
 	for {
-		uses := make(map[ir.Reg]int)
-		var buf []ir.Reg
+		clear(uses)
 		for _, b := range p.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
@@ -41,7 +43,7 @@ func DCE(p *ir.Proc, gcSupport bool) {
 		}
 		removed := false
 		for _, b := range p.Blocks {
-			dead := make([]bool, len(b.Instrs))
+			dead = append(dead[:0], make([]bool, len(b.Instrs))...)
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				if in.Dst == ir.NoReg || uses[in.Dst] > 0 {

@@ -58,22 +58,11 @@ func reuseProc(p *ir.Proc, caps *analysis.Captures) int {
 	}
 	defs := collectDefs(p)
 	dirty := dirtyRegs(p, caps)
-	lv := analysis.ComputeLiveness(p)
-	dom := analysis.ComputeDominators(p)
-	loops := analysis.FindLoops(p, dom)
-	// loopsOf[b] lists the loops containing block b.
-	loopsOf := make([][]*analysis.Loop, len(p.Blocks))
-	for _, l := range loops {
-		// gclint:ordered each block gains this loop once; cross-loop order follows the outer slice
-		for b := range l.Blocks {
-			loopsOf[b.ID] = append(loopsOf[b.ID], l)
-		}
-	}
-	// sources[d] lists registers whose single definition allocates a
-	// fixed-shape cell with descriptor d.
+	// sources[d] lists, in ascending order, registers whose single
+	// definition allocates a fixed-shape cell with descriptor d.
 	sources := make(map[int64][]ir.Reg)
-	// gclint:ordered feeds the sources map, whose slices are sorted below.
-	for r, sites := range defs {
+	for r := ir.Reg(0); int(r) < defs.numRegs(); r++ {
+		sites := defs.of(r)
 		if len(sites) != 1 || int(r) < p.NumParams || dirty.Has(int(r)) {
 			continue
 		}
@@ -85,23 +74,37 @@ func reuseProc(p *ir.Proc, caps *analysis.Captures) int {
 			sources[d.Imm] = append(sources[d.Imm], r)
 		}
 	}
-	for d := range sources { // gclint:ordered independent in-place sort per key
-		sortRegs(sources[d])
+	if len(sources) == 0 {
+		return 0
+	}
+	lv := analysis.ComputeLiveness(p)
+	dom := analysis.ComputeDominators(p)
+	loops := analysis.FindLoops(p, dom)
+	// loopsOf[b] lists the loops containing block b.
+	loopsOf := make([][]*analysis.Loop, len(p.Blocks))
+	for _, l := range loops {
+		// gclint:ordered each block gains this loop once; cross-loop order follows the outer slice
+		for b := range l.Blocks {
+			loopsOf[b.ID] = append(loopsOf[b.ID], l)
+		}
 	}
 	consumed := make(map[ir.Reg]bool)
 	rewrites := 0
 	for _, bS := range p.Blocks {
-		liveAfter := lv.LiveAfter(bS)
+		var liveAfter []analysis.BitSet // built at the block's first candidate site
 		for iS := range bS.Instrs {
 			s := &bS.Instrs[iS]
-			if s.Op != ir.OpNew || s.A != ir.NoReg {
+			if s.Op != ir.OpNew || s.A != ir.NoReg || len(sources[s.Imm]) == 0 {
 				continue
+			}
+			if liveAfter == nil {
+				liveAfter = lv.LiveAfter(bS)
 			}
 			for _, r := range sources[s.Imm] {
 				if r == s.Dst || consumed[r] || liveAfter[iS].Has(int(r)) {
 					continue
 				}
-				ds := defs[r][0]
+				ds := defs.of(r)[0]
 				if ds.block == bS {
 					if ds.idx >= iS {
 						continue
@@ -181,14 +184,4 @@ func dirtyRegs(p *ir.Proc, caps *analysis.Captures) analysis.BitSet {
 		}
 	}
 	return dirty
-}
-
-// sortRegs orders a small register slice ascending (stable pass
-// results regardless of map iteration order upstream).
-func sortRegs(rs []ir.Reg) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j] < rs[j-1]; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

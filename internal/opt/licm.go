@@ -23,17 +23,28 @@ func LICM(p *ir.Proc) {
 	if len(loops) == 0 {
 		return
 	}
+	// Definitions and liveness are rebuilt after a loop hoists
+	// something: its preheader now holds definitions that the next
+	// loop's safety checks must see. Liveness is computed when a
+	// candidate first needs it.
+	defs := collectDefs(p)
+	var lv *analysis.Liveness
+	liveness := func() *analysis.Liveness {
+		if lv == nil {
+			lv = analysis.ComputeLiveness(p)
+		}
+		return lv
+	}
 	for _, l := range loops {
-		// Definitions and liveness are recomputed per loop: hoisting
-		// into one loop's preheader moves definitions that the next
-		// loop's safety checks must see.
-		defs := collectDefs(p)
-		lv := analysis.ComputeLiveness(p)
-		hoistLoop(p, l, defs, lv)
+		if hoistLoop(p, l, defs, liveness) {
+			defs = collectDefs(p)
+			lv = nil
+		}
 	}
 }
 
-func hoistLoop(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, lv *analysis.Liveness) {
+// hoistLoop hoists l's invariants and reports whether it moved any.
+func hoistLoop(p *ir.Proc, l *analysis.Loop, defs defTable, liveness func() *analysis.Liveness) bool {
 	// Does the loop write memory or call anything that might?
 	memStable := true
 	for _, b := range loopBlocksInOrder(p, l) {
@@ -55,7 +66,7 @@ func hoistLoop(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, lv *anal
 		if invariant[r] {
 			return true
 		}
-		for _, d := range defs[r] {
+		for _, d := range defs.of(r) {
 			if inLoop(d) {
 				return false
 			}
@@ -95,14 +106,14 @@ func hoistLoop(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, lv *anal
 						continue
 					}
 				}
-				if len(defs[in.Dst]) != 1 {
+				if len(defs.of(in.Dst)) != 1 {
 					continue
 				}
 				// The destination's pre-loop value must be dead: a
 				// register live into the header (a parameter, or a def
 				// reaching around the loop) cannot be overwritten in
 				// the preheader.
-				if lv.LiveIn[l.Header.ID].Has(int(in.Dst)) {
+				if liveness().LiveIn[l.Header.ID].Has(int(in.Dst)) {
 					continue
 				}
 				if !isInvariantOperand(in.A) || !isInvariantOperand(in.B) {
@@ -125,7 +136,7 @@ func hoistLoop(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, lv *anal
 		}
 	}
 	if len(plan) == 0 {
-		return
+		return false
 	}
 
 	pre := ensurePreheader(p, l)
@@ -140,6 +151,7 @@ func hoistLoop(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, lv *anal
 			Op: ir.OpConst, Dst: p.NewReg(ir.ClassScalar), A: ir.NoReg, B: ir.NoReg,
 		}
 	}
+	return true
 }
 
 // loopBlocksInOrder returns the loop's member blocks in p.Blocks

@@ -38,9 +38,7 @@ func PreserveBases(p *ir.Proc) {
 }
 
 func preserveRound(p *ir.Proc) bool {
-	lv := analysis.ComputeLiveness(p)
-
-	derivedUsing := make(map[ir.Reg][]ir.Reg) // base -> derived regs mentioning it
+	var derivedUsing [][]ir.Reg // base -> derived regs mentioning it
 	for _, b := range p.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -49,20 +47,30 @@ func preserveRound(p *ir.Proc) bool {
 			}
 			for _, d := range in.Deriv {
 				if d.Reg != in.Dst {
+					if derivedUsing == nil {
+						derivedUsing = make([][]ir.Reg, p.NumRegs())
+					}
 					derivedUsing[d.Reg] = append(derivedUsing[d.Reg], in.Dst)
 				}
 			}
 		}
 	}
+	if derivedUsing == nil {
+		return false // no derivation, so no base to clobber
+	}
 
+	lv := analysis.ComputeLiveness(p)
 	type pair struct{ r, base ir.Reg }
 	clobbered := make(map[pair]bool)
 	for _, b := range p.Blocks {
-		liveAfter := lv.LiveAfter(b)
+		var liveAfter []analysis.BitSet // built when a base is defined here
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Dst == ir.NoReg || in.IsDerivPreserving() {
+			if in.Dst == ir.NoReg || in.IsDerivPreserving() || len(derivedUsing[in.Dst]) == 0 {
 				continue
+			}
+			if liveAfter == nil {
+				liveAfter = lv.LiveAfter(b)
 			}
 			for _, r := range derivedUsing[in.Dst] {
 				if r != in.Dst && liveAfter[i].Has(int(r)) {

@@ -64,7 +64,7 @@ func splitOne(p *ir.Proc, r ir.Reg) bool {
 		out[i] = bottom
 	}
 	defInBlock := make([]bool, len(p.Blocks))
-	for _, ds := range defs[r] {
+	for _, ds := range defs.of(r) {
 		for i := range ds.block.Instrs {
 			in := &ds.block.Instrs[i]
 			if in.Dst == r && !in.IsDerivPreserving() {

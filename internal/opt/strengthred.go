@@ -45,18 +45,14 @@ func reduceLoop(p *ir.Proc, l *analysis.Loop) {
 	defs := collectDefs(p)
 	inLoop := func(s defSite) bool { return l.Blocks[s.block] }
 
-	consts := constDefs(p, defs)
-
 	// Find basic induction variables: exactly two defs, one outside the
 	// loop, one inside of the form reg = reg + c (directly, or via
 	// reg = Mov t where t = AddImm reg, c and t is single-use).
-	// Registers are visited in numeric order: defs is a map, and the
-	// discovery order decides both the reduction order and the numbering
-	// of the fresh pointer IVs, so map order here leaked nondeterminism
-	// into the generated code.
+	// Registers are visited in numeric order, which decides both the
+	// reduction order and the numbering of the fresh pointer IVs.
 	var ivs []ivInfo
-	for r := ir.Reg(0); int(r) < p.NumRegs(); r++ {
-		ds := defs[r]
+	for r := ir.Reg(0); int(r) < defs.numRegs(); r++ {
+		ds := defs.of(r)
 		if len(ds) != 2 {
 			continue
 		}
@@ -71,7 +67,7 @@ func reduceLoop(p *ir.Proc, l *analysis.Loop) {
 		if in0 == nil || out0 == nil {
 			continue
 		}
-		step, ok := stepOf(p, defs, in0, r)
+		step, ok := stepOf(defs, in0, r)
 		if !ok {
 			continue
 		}
@@ -79,13 +75,13 @@ func reduceLoop(p *ir.Proc, l *analysis.Loop) {
 	}
 
 	for _, iv := range ivs {
-		reduceIV(p, l, defs, consts, iv)
+		reduceIV(p, l, defs, iv)
 	}
 }
 
 // stepOf recognizes the in-loop increment of a candidate IV and returns
 // its constant step.
-func stepOf(p *ir.Proc, defs map[ir.Reg][]defSite, site *defSite, r ir.Reg) (int64, bool) {
+func stepOf(defs defTable, site *defSite, r ir.Reg) (int64, bool) {
 	in := &site.block.Instrs[site.idx]
 	switch in.Op {
 	case ir.OpAddImm:
@@ -93,12 +89,11 @@ func stepOf(p *ir.Proc, defs map[ir.Reg][]defSite, site *defSite, r ir.Reg) (int
 			return in.Imm, true
 		}
 	case ir.OpMov:
-		t := in.A
-		if len(defs[t]) != 1 {
+		td := defs.of(in.A)
+		if len(td) != 1 {
 			return 0, false
 		}
-		td := defs[t][0]
-		tin := &td.block.Instrs[td.idx]
+		tin := &td[0].block.Instrs[td[0].idx]
 		if tin.Op == ir.OpAddImm && tin.A == r {
 			return tin.Imm, true
 		}
@@ -106,19 +101,15 @@ func stepOf(p *ir.Proc, defs map[ir.Reg][]defSite, site *defSite, r ir.Reg) (int
 	return 0, false
 }
 
-// constDefs maps single-def registers defined by OpConst to their value.
-func constDefs(p *ir.Proc, defs map[ir.Reg][]defSite) map[ir.Reg]int64 {
-	m := make(map[ir.Reg]int64)
-	// gclint:ordered builds a map keyed by register; insertion order is invisible.
-	for r, ds := range defs {
-		if len(ds) == 1 {
-			in := &ds[0].block.Instrs[ds[0].idx]
-			if in.Op == ir.OpConst {
-				m[r] = in.Imm
-			}
-		}
+// constOf returns the value of a register whose single definition is
+// an OpConst.
+func constOf(defs defTable, r ir.Reg) (int64, bool) {
+	ds := defs.of(r)
+	if len(ds) != 1 {
+		return 0, false
 	}
-	return m
+	in := &ds[0].block.Instrs[ds[0].idx]
+	return in.Imm, in.Op == ir.OpConst
 }
 
 // addrChain matches addr = Add(base, scaled) where scaled follows the
@@ -131,11 +122,11 @@ type addrChain struct {
 	scale    int64
 }
 
-func reduceIV(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, consts map[ir.Reg]int64, iv ivInfo) {
+func reduceIV(p *ir.Proc, l *analysis.Loop, defs defTable, iv ivInfo) {
 	inLoop := func(s defSite) bool { return l.Blocks[s.block] }
 	// Re-resolve the IV's definition sites: earlier reductions may have
 	// shifted instruction indices (defs was fixed up, the iv copy was not).
-	for _, d := range defs[iv.reg] {
+	for _, d := range defs.of(iv.reg) {
 		if inLoop(d) {
 			iv.incrSite = d
 		} else {
@@ -143,7 +134,7 @@ func reduceIV(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, consts ma
 		}
 	}
 	invariant := func(r ir.Reg) bool {
-		for _, d := range defs[r] {
+		for _, d := range defs.of(r) {
 			if inLoop(d) {
 				return false
 			}
@@ -160,14 +151,14 @@ func reduceIV(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, consts ma
 			if in.Op != ir.OpAdd || in.Dst == ir.NoReg || p.Class(in.Dst) != ir.ClassDerived {
 				continue
 			}
-			if len(defs[in.Dst]) != 1 {
+			if len(defs.of(in.Dst)) != 1 {
 				continue
 			}
 			base, scaledReg := in.A, in.B
 			if !invariant(base) || p.Class(base) == ir.ClassScalar {
 				continue
 			}
-			scale, k, ok := matchScaled(p, defs, consts, inLoop, scaledReg, iv.reg)
+			scale, k, ok := matchScaled(defs, inLoop, scaledReg, iv.reg)
 			if !ok {
 				continue
 			}
@@ -221,7 +212,7 @@ func reduceIV(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, consts ma
 
 		// Replace the original address computation with a copy of the
 		// pointer IV and rewrite nothing else: uses keep reading addr.
-		site := &defs[ch.addr][0]
+		site := &defs.of(ch.addr)[0]
 		orig := &site.block.Instrs[site.idx]
 		*orig = ir.Instr{Op: ir.OpMov, Dst: ch.addr, A: ptr, B: ir.NoReg,
 			Deriv: []ir.BaseRef{{Reg: ptr, Sign: 1}}}
@@ -230,40 +221,39 @@ func reduceIV(p *ir.Proc, l *analysis.Loop, defs map[ir.Reg][]defSite, consts ma
 
 // matchScaled recognizes scaled = (i + a) * m (+ b) chains built from
 // AddImm and Mul-by-constant, or i itself. Returns addr = base + i*scale + k.
-func matchScaled(p *ir.Proc, defs map[ir.Reg][]defSite, consts map[ir.Reg]int64,
-	inLoop func(defSite) bool, r, iv ir.Reg) (scale, k int64, ok bool) {
+func matchScaled(defs defTable, inLoop func(defSite) bool, r, iv ir.Reg) (scale, k int64, ok bool) {
 	if r == iv {
 		return 1, 0, true
 	}
-	ds := defs[r]
+	ds := defs.of(r)
 	if len(ds) != 1 || !inLoop(ds[0]) {
 		return 0, 0, false
 	}
 	in := &ds[0].block.Instrs[ds[0].idx]
 	switch in.Op {
 	case ir.OpAddImm:
-		s, kk, ok2 := matchScaled(p, defs, consts, inLoop, in.A, iv)
+		s, kk, ok2 := matchScaled(defs, inLoop, in.A, iv)
 		if !ok2 {
 			return 0, 0, false
 		}
 		return s, kk + in.Imm, true
 	case ir.OpMul:
-		c, isC := consts[in.B]
+		c, isC := constOf(defs, in.B)
 		src := in.A
 		if !isC {
-			c, isC = consts[in.A]
+			c, isC = constOf(defs, in.A)
 			src = in.B
 		}
 		if !isC {
 			return 0, 0, false
 		}
-		s, kk, ok2 := matchScaled(p, defs, consts, inLoop, src, iv)
+		s, kk, ok2 := matchScaled(defs, inLoop, src, iv)
 		if !ok2 {
 			return 0, 0, false
 		}
 		return s * c, kk * c, true
 	case ir.OpMov:
-		return matchScaled(p, defs, consts, inLoop, in.A, iv)
+		return matchScaled(defs, inLoop, in.A, iv)
 	}
 	return 0, 0, false
 }
@@ -301,13 +291,10 @@ func insertAfter(b *ir.Block, idx int, seq []ir.Instr) {
 }
 
 // fixSites shifts recorded definition sites in b after idx by n.
-func fixSites(defs map[ir.Reg][]defSite, b *ir.Block, idx, n int) {
-	// gclint:ordered each register's sites are shifted independently in place.
-	for _, ds := range defs {
-		for i := range ds {
-			if ds[i].block == b && ds[i].idx > idx {
-				ds[i].idx += n
-			}
+func fixSites(defs defTable, b *ir.Block, idx, n int) {
+	for i := range defs.sites {
+		if s := &defs.sites[i]; s.block == b && s.idx > idx {
+			s.idx += n
 		}
 	}
 }
