@@ -1,16 +1,28 @@
 # Developer workflow. `make check` is the pre-PR gate: formatting, vet,
-# full build, and the race-enabled test slice covering the telemetry
-# subsystem and the collectors that feed it.
+# the project lint, full build, the full test suite, the race-enabled
+# slice over the concurrent subsystems, and the allocation guards.
+# `make check-full` adds the fuzz smoke, the benchmark module's smoke
+# run and the coverage floor, then drives a differential sweep, the
+# serving load harness and the collector phase microbenchmarks once.
 
 GO ?= go
 
-# Per-target budget for the fuzz smoke; CI and `make check` run both
-# targets, so the gate costs about twice this.
+# Per-target budget for the fuzz smoke; it runs both targets, so it
+# costs about twice this.
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet vet-gcverify lint build test race allocs test-all bench-telemetry bench-check bench-smoke serve-smoke verify-smoke heaplive-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke diff-smoke cover
+.PHONY: check check-full fmt vet lint build test-all race allocs fuzz-smoke bench-check cover diff-smoke bench-telemetry
 
-check: fmt vet vet-gcverify lint build race allocs test-all serve-smoke dispatch-smoke concurrent-smoke workload-smoke fuzz-smoke
+check: fmt vet lint build test-all race allocs
+
+# The sweep runs 40 seeds over the whole differential matrix, whose
+# cells all carry the heap-liveness on/off dimension; the load drive is
+# mixed run/resume traffic through the multi-tenant server; the Phase
+# microbenchmarks exercise the collector's per-phase timers.
+check-full: check fuzz-smoke bench-check cover
+	$(GO) run ./cmd/difffuzz -n 40 -seed 7 -out artifacts/difffuzz-heaplive
+	$(GO) run ./cmd/gcserve -load -duration 2s
+	$(GO) test -run '^$$' -bench Phase -benchtime 1x ./internal/gc/
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -20,11 +32,6 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-
-# Explicit shards for the gc-map verifier and its CLI so a vet failure
-# there is attributed to the package, not the whole tree.
-vet-gcverify:
-	$(GO) vet ./internal/gcverify/... ./cmd/gcverify/...
 
 # Project-specific static checks (internal/lint): range-over-map in the
 # packages where iteration order would leak into generated code or gc
@@ -68,74 +75,6 @@ bench-telemetry:
 bench-check:
 	$(GO) -C benchmark test ./...
 	bash benchmark/run.sh --quick
-
-# Decode-cache and parallel-trace smoke: run the cached-vs-uncached
-# takl comparison and the trace-width comparison (each fails if its
-# runs diverge), leave both JSON measurements under artifacts/ for CI
-# to upload, and exercise the per-phase microbenchmarks once.
-bench-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/paperbench -cache -snapshot artifacts/takl-telemetry.json
-	$(GO) run ./cmd/paperbench -parallel -bench5 artifacts/BENCH_5.json
-	$(GO) test -run '^$$' -bench 'Phase' -benchtime 1x ./internal/gc/
-
-# Multi-tenant server smoke: the gcserve race suite (tenant isolation,
-# slicing determinism, shared-decoder transparency), then a short
-# mixed run/resume load drive that writes the BENCH_6 measurement
-# (req/s, per-tenant pause quantiles) for CI to upload.
-serve-smoke:
-	mkdir -p artifacts
-	$(GO) test -race -count=1 ./internal/gcserve/
-	$(GO) run ./cmd/gcserve -load -duration 2s -bench artifacts/BENCH_6.json
-
-# Short gc-map verifier smoke: the checked-in progen corpus (first few
-# seeds) plus a strided seeded-fault sweep. CI runs this on every push.
-verify-smoke:
-	$(GO) test -short -count=1 -run 'TestProgenCorpus|TestSeededFaults' ./internal/gcverify/
-
-# Compile-time GC smoke: the heap-liveness benchmark (compiles the
-# churn workload with the pass off and on, fails if outputs diverge or
-# the baseline never collects, writes the BENCH_7 measurement), then a
-# short differential sweep — every cell of the matrix already carries
-# the heaplive on/off dimension, so the sweep cross-checks the
-# optimized compiles against the unoptimized reference.
-heaplive-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/paperbench -heaplive -bench7 artifacts/BENCH_7.json
-	$(GO) run ./cmd/difffuzz -n 40 -seed 7 -out artifacts/difffuzz-heaplive
-
-# Dispatch smoke: the dispatcher agreement tests and generated-program
-# sweep plus the difftest slice, whose matrix carries the
-# reference/superblock dimension in every determinism group. The
-# speed of the superblock dispatcher is the benchmark's mutator.takl.
-dispatch-smoke:
-	$(GO) test -count=1 -run 'TestDispatch|TestDifferentialSeedsClean' ./internal/vmachine/ ./internal/difftest/
-
-# Mostly-concurrent marking smoke: the SATB barrier unit tests, the
-# hostile white-object-hiding mutator, the black-allocation regression,
-# and the four-thread soak
-# (per-cycle heap.Check + strict gcverify), all under -race — then the
-# pause-SLO benchmark, which fails if the two modes diverge on output,
-# writing the BENCH_9 measurement for CI.
-concurrent-smoke:
-	mkdir -p artifacts
-	$(GO) test -race -count=1 -run 'TestConcurrent|TestSATB|TestBlackAlloc|TestMarkStep' ./internal/gc/ ./internal/gengc/
-	$(GO) run ./cmd/paperbench -concurrent -bench9 artifacts/BENCH_9.json
-
-# Server-shaped workload smoke: the generational session load drive
-# under -race (≥64 tenants, outputs checked bit-exact against the
-# serial reference, per-tenant pause quantiles populated), the
-# paperbench exit-code contract tests, then the full-size BENCH_10
-# workload suite — server sessions, deep-recursion stack stress,
-# adversarial derived-pointer kernels, and the 2^20-word ballast
-# sweep, every one divergence-fatal (~3 min; the in-suite
-# TestRunBench10Quick covers the smoke-sized path). CI uploads the
-# resulting BENCH_10.json.
-workload-smoke:
-	mkdir -p artifacts
-	$(GO) test -race -count=1 -run 'TestLoadGenerationalSessions' ./internal/gcserve/
-	$(GO) test -count=1 -run 'TestRunExitCodes' ./cmd/paperbench/
-	$(GO) run ./cmd/paperbench -workloads -bench10 artifacts/BENCH_10.json
 
 # Fuzz smoke: a short budgeted run of both native fuzz targets — the
 # table decoder against damaged bytes, and the differential matrix

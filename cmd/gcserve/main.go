@@ -12,14 +12,14 @@
 //
 // Load mode:
 //
-//	gcserve -load -duration 2s -bench artifacts/BENCH_6.json
+//	gcserve -load -duration 2s [-min-rate N]
 //
 // drives mixed run/resume traffic against an in-process server and
-// writes the BENCH_6 measurement (req/s, per-tenant pause quantiles).
+// prints req/s and the per-tenant pause spread; it exits non-zero on a
+// load error or, with -min-rate, below that throughput.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -63,7 +63,6 @@ func main() {
 	fuel := flag.Int64("fuel", 20_000, "scheduler slice step budget")
 	maxTenants := flag.Int("max-tenants", 4096, "resident tenant cap")
 	concMark := flag.Bool("concmark", false, "tenants mark mostly-concurrently; /statz reports final-pause SLO rows")
-	bench := flag.String("bench", "", "write the load report (JSON) to this file")
 	minRate := flag.Float64("min-rate", 0, "fail load mode below this req/s")
 	flag.Parse()
 
@@ -104,7 +103,7 @@ func main() {
 			Duration:   *duration,
 			RunPercent: *runPct,
 			Grant:      *grant,
-		}, *bench, *minRate)
+		}, *minRate)
 		return
 	}
 
@@ -122,7 +121,7 @@ func firstProgram(s *gcserve.Server) string {
 	return progs[0]
 }
 
-func runLoad(s *gcserve.Server, cfg gcserve.LoadConfig, benchFile string, minRate float64) {
+func runLoad(s *gcserve.Server, cfg gcserve.LoadConfig, minRate float64) {
 	rep, err := gcserve.RunLoad(s, cfg)
 	if err != nil {
 		fatal(err)
@@ -133,24 +132,6 @@ func runLoad(s *gcserve.Server, cfg gcserve.LoadConfig, benchFile string, minRat
 		rep.TenantsMeasured, rep.PauseP50AcrossTenantsNs, rep.PauseP99AcrossTenantsNs)
 	for _, e := range rep.Errors {
 		fmt.Printf("gcserve load: error: %s\n", e)
-	}
-	if benchFile != "" {
-		if err := os.MkdirAll(filepath.Dir(benchFile), 0o755); err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(benchFile)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("gcserve load: wrote %s\n", benchFile)
 	}
 	if len(rep.Errors) > 0 {
 		fatal(fmt.Errorf("load run hit %d errors", len(rep.Errors)))

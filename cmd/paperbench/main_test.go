@@ -2,7 +2,8 @@ package main
 
 import (
 	"bytes"
-	"path/filepath"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -10,8 +11,15 @@ import (
 // TestRunExitCodes pins the harness exit-code contract: 0 for a clean
 // measurement, 1 for a measurement failure, 2 for usage errors. CI
 // gates on these codes, so a harness that prints a divergence but
-// exits 0 would green-light a broken collector.
+// exits 0 would green-light a broken collector. A failing harness is
+// appended to the table for the duration of the test, so the failure
+// travels the same step loop a divergence does.
 func TestRunExitCodes(t *testing.T) {
+	saved := harnesses
+	t.Cleanup(func() { harnesses = saved })
+	harnesses = append(saved[:len(saved):len(saved)], harness{"fail", "a harness that fails",
+		func(io.Writer) error { return errors.New("diverged") }})
+
 	tests := []struct {
 		name string
 		args []string
@@ -31,9 +39,9 @@ func TestRunExitCodes(t *testing.T) {
 		{name: "compare checks outputs", args: []string{"-compare"}, want: 0, out: "conservative"},
 		{name: "generational checks outputs", args: []string{"-generational"}, want: 0, out: "scavenging"},
 		{
-			name: "bad artifact path is a failure",
-			args: []string{"-table1", "-snapshot", filepath.Join("no", "such", "dir", "x.json")},
-			want: 1, errOut: "paperbench:",
+			name: "failing step is a failure",
+			args: []string{"-table1", "-fail"},
+			want: 1, out: "Table 1", errOut: "paperbench: diverged",
 		},
 	}
 	for _, tc := range tests {
@@ -50,24 +58,5 @@ func TestRunExitCodes(t *testing.T) {
 				t.Errorf("stderr missing %q:\n%s", tc.errOut, stderr.String())
 			}
 		})
-	}
-}
-
-// TestWorkloadsQuickArtifact runs the BENCH_10 suite end-to-end at
-// smoke sizes and checks the artifact lands where -bench10 points.
-func TestWorkloadsQuickArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload suite in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_10.json")
-	var stdout, stderr bytes.Buffer
-	got := run([]string{"-quick", "-bench10", path}, &stdout, &stderr)
-	if got != 0 {
-		t.Fatalf("run -quick -bench10 = %d\nstderr: %s", got, stderr.String())
-	}
-	for _, want := range []string{"BENCH_10", "server", "kernel", "ballast", "divergence checks: 0 failures"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("stdout missing %q", want)
-		}
 	}
 }

@@ -489,95 +489,3 @@ func DecodeCost(name string, scheme gctab.Scheme, rounds int) (time.Duration, in
 	total := time.Since(start)
 	return total / time.Duration(rounds*len(pcs)), len(pcs), nil
 }
-
-// CacheComparison quantifies the decode cache on one benchmark: the
-// same compiled program runs twice, identical but for
-// driver.Options.DecodeCache, and the table bytes read come from the
-// gctab.decode.bytes counter both decoders feed. Reduction is the
-// uncached/cached ratio of bytes read per collection — the §6.3 decode
-// cost the cache amortizes away.
-type CacheComparison struct {
-	Program             string
-	Scheme              gctab.Scheme
-	UncachedCollections int64
-	CachedCollections   int64
-	UncachedBytes       int64 // stream bytes read over the uncached run
-	CachedBytes         int64 // stream bytes read over the cached run
-	UncachedPerGC       float64
-	CachedPerGC         float64
-	Reduction           float64
-	CacheHits           int64
-	CacheMisses         int64
-	BytesSaved          int64
-	OutputsMatch        bool               // program output identical under both runs
-	Snapshot            telemetry.Snapshot // the cached run's full snapshot
-}
-
-// DecodeCacheComparison runs benchmark name twice — decode cache off,
-// then on — under the same heap budget and compares telemetry and
-// program output.
-func DecodeCacheComparison(name string, heapWords int64) (*CacheComparison, error) {
-	src, ok := Sources()[name]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", name)
-	}
-	if name == "takl" {
-		// Plain takl never collects (see TaklLoopSource); measure the
-		// pressured variant so there are collections to charge.
-		src = TaklLoopSource(400)
-	}
-	c, err := driver.Compile(name+".m3", src, driver.Options{
-		Optimize: true, GCSupport: true, Scheme: gctab.DeltaPP,
-	})
-	if err != nil {
-		return nil, err
-	}
-	run := func(cache bool) (string, telemetry.Snapshot, error) {
-		c.Opts.DecodeCache = cache
-		cfg := vmachine.DefaultConfig()
-		cfg.HeapWords = heapWords
-		var out strings.Builder
-		cfg.Out = &out
-		cfg.Tel = telemetry.New(telemetry.Config{})
-		m, _, err := c.NewMachine(cfg)
-		if err != nil {
-			return "", telemetry.Snapshot{}, err
-		}
-		if err := m.Run(0); err != nil {
-			return "", telemetry.Snapshot{}, fmt.Errorf("%s (cache=%v): %w", name, cache, err)
-		}
-		return out.String(), cfg.Tel.Snapshot(), nil
-	}
-	outU, snapU, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	outC, snapC, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	s := c.Encoded.Scheme
-	res := &CacheComparison{
-		Program:             name,
-		Scheme:              s,
-		UncachedCollections: snapU.Counter(telemetry.CtrGCCollections),
-		CachedCollections:   snapC.Counter(telemetry.CtrGCCollections),
-		UncachedBytes:       snapU.Counter(s.DecodeBytesCounter()),
-		CachedBytes:         snapC.Counter(s.DecodeBytesCounter()),
-		CacheHits:           snapC.Counter(s.CacheHitsCounter()),
-		CacheMisses:         snapC.Counter(s.CacheMissesCounter()),
-		BytesSaved:          snapC.Counter(s.CacheBytesSavedCounter()),
-		OutputsMatch:        outU == outC,
-		Snapshot:            snapC,
-	}
-	if res.UncachedCollections > 0 {
-		res.UncachedPerGC = float64(res.UncachedBytes) / float64(res.UncachedCollections)
-	}
-	if res.CachedCollections > 0 {
-		res.CachedPerGC = float64(res.CachedBytes) / float64(res.CachedCollections)
-	}
-	if res.CachedPerGC > 0 {
-		res.Reduction = res.UncachedPerGC / res.CachedPerGC
-	}
-	return res, nil
-}

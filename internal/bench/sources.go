@@ -1,8 +1,9 @@
 // Package bench holds the paper's four measurement programs —
 // typereg, FieldList, takl, and destroy (§6.1) — re-implemented in the
-// mthree source language from the paper's descriptions, plus the
-// harness that regenerates Table 1, Table 2, and the §6.2/§6.3
-// measurements.
+// mthree source language from the paper's descriptions, the workload
+// generators the repository's benchmark and tests share, and the
+// harness that regenerates Table 1, Table 2, the §6.2/§6.3
+// measurements and the §5.2 refinements.
 package bench
 
 import "fmt"
@@ -395,8 +396,8 @@ END Takl.
 // Takeuchi-on-lists computation repeated iters times, rebuilding the
 // argument lists each round so the collector actually runs. Plain takl
 // allocates only ~90 words total (Mas allocates nothing), so it never
-// collects at any heap size; the decode-cache measurement needs
-// collections to charge decode work to.
+// collects at any heap size; this variant collects once the heap is
+// smaller than what a round allocates.
 func TaklLoopSource(iters int) string {
 	return fmt.Sprintf(`
 MODULE Takl;
@@ -538,3 +539,123 @@ func Sources() map[string]string {
 
 // Names returns the benchmarks in the paper's Table 1 order.
 func Names() []string { return []string{"typereg", "FieldList", "takl", "destroy"} }
+
+// ChurnBallastSource is the gc.concurrent benchmark workload: main
+// pins a ballast-node list live for the whole run while three worker
+// threads churn allocation, keeping every fifth cell. The ballast is
+// what separates the two collection modes — a stop-the-world pause
+// must re-mark all of it, a mostly-concurrent cycle marks it in bursts
+// while the workers run and stops only for the short final pause. The
+// output is the closed-form sum, identical in both modes.
+func ChurnBallastSource(ballast, loops int) string {
+	return fmt.Sprintf(`
+MODULE Churn;
+TYPE List = REF RECORD head: INTEGER; tail: List; END;
+VAR ballast: List; done1, done2, done3, s1, s2, s3, t: INTEGER;
+
+PROCEDURE Build(n: INTEGER): List =
+  VAR keep, node: List; i: INTEGER;
+  BEGIN
+    keep := NIL;
+    FOR i := 1 TO n DO
+      node := NEW(List);
+      node.head := i;
+      node.tail := keep;
+      keep := node;
+    END;
+    RETURN keep;
+  END Build;
+
+PROCEDURE Sum(l: List): INTEGER =
+  VAR s: INTEGER;
+  BEGIN
+    s := 0;
+    WHILE l # NIL DO s := s + l.head; l := l.tail; END;
+    RETURN s;
+  END Sum;
+
+PROCEDURE Churn(n: INTEGER): INTEGER =
+  VAR keep, junk: List; i, s: INTEGER;
+  BEGIN
+    keep := NIL;
+    FOR i := 1 TO n DO
+      junk := NEW(List);
+      junk.head := i;
+      IF i MOD 5 = 0 THEN
+        junk.tail := keep;
+        keep := junk;
+      END;
+    END;
+    RETURN Sum(keep);
+  END Churn;
+
+PROCEDURE Loop(n: INTEGER): INTEGER =
+  VAR r, s: INTEGER;
+  BEGIN
+    FOR r := 1 TO %d DO s := Churn(n); END;
+    RETURN s;
+  END Loop;
+
+PROCEDURE W1() = BEGIN s1 := Loop(200); done1 := 1; END W1;
+PROCEDURE W2() = BEGIN s2 := Loop(170); done2 := 1; END W2;
+PROCEDURE W3() = BEGIN s3 := Loop(140); done3 := 1; END W3;
+
+BEGIN
+  ballast := Build(%d);
+  WHILE done1 = 0 DO t := t + 1; END;
+  WHILE done2 = 0 DO t := t + 1; END;
+  WHILE done3 = 0 DO t := t + 1; END;
+  PutInt(Sum(ballast) + s1 + s2 + s3); PutLn();
+END Churn.
+`, loops, ballast)
+}
+
+// DeepWalkSource recurses to depth with a live pointer pinned in every
+// frame across the nested call, collects at the bottom of the stack,
+// and repeats for rounds — so every collection's stack walk decodes
+// depth+ frames of gc maps. With the decode cache off the walk pays
+// the table-decode cost per frame per collection (the §6.3 worst
+// case); with it on, each procedure's segment decodes once. The
+// printed total is closed-form (DeepWalkWant).
+func DeepWalkSource(depth, rounds int) string {
+	return fmt.Sprintf(`
+MODULE DeepWalk;
+CONST Depth = %d; Rounds = %d;
+TYPE List = REF RECORD head: INTEGER; tail: List; END;
+VAR r, i: INTEGER;
+
+PROCEDURE Leaf(): INTEGER =
+  VAR p: List;
+  BEGIN
+    p := NEW(List);
+    p.head := 1;
+    p.tail := NIL;
+    GcCollect();
+    RETURN p.head;
+  END Leaf;
+
+PROCEDURE Walk(d: INTEGER): INTEGER =
+  VAR p: List; t: INTEGER;
+  BEGIN
+    IF d = 0 THEN RETURN Leaf(); END;
+    p := NEW(List);
+    p.head := d;
+    p.tail := NIL;
+    t := Walk(d - 1);
+    RETURN p.head + t;
+  END Walk;
+
+BEGIN
+  r := 0;
+  FOR i := 1 TO Rounds DO
+    r := r + Walk(Depth);
+  END;
+  PutInt(r); PutLn();
+END DeepWalk.
+`, depth, rounds)
+}
+
+// DeepWalkWant is the closed-form output: rounds·(1 + Σ_{d=1..depth} d).
+func DeepWalkWant(depth, rounds int) string {
+	return fmt.Sprintf("%d\n", rounds*(1+depth*(depth+1)/2))
+}

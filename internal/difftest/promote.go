@@ -12,18 +12,17 @@ var DefaultKernelScheme = gctab.Scheme{Packing: true, Previous: true}
 // constructs (subarrayLoop, nestedWith, pathSelect — the
 // array-manipulation habits Colnet & Sonntag catalog, and the §3
 // derived-value cases the tables must describe) exist in thousands of
-// anonymous seeded programs, but nothing pins them as *named*,
-// tracked benchmarks. Kernels freezes one distilled program per
-// construct: each is written in the generator's own idiom (same List/
-// Vec types, same guard discipline, same fold-everything-into-output
-// epilogue), sized so every round moves the construct's base objects
-// through a compacting collection. They run divergence-fatal through
-// Execute in TestPromotedKernels and are timed as named benchmarks by
-// the BENCH_10 workload suite (internal/bench).
+// anonymous seeded programs, but nothing pins them as *named*
+// programs. Kernels freezes one distilled program per construct: each
+// is written in the generator's own idiom (same List/Vec types, same
+// guard discipline, same fold-everything-into-output epilogue), sized
+// so every round moves the construct's base objects through a
+// compacting collection. They run divergence-fatal through
+// Execute in TestPromotedKernels, over the KernelCells matrix slice.
 
 // Kernel is one promoted adversarial program.
 type Kernel struct {
-	// Name is the benchmark name ("subarray-walk", ...).
+	// Name is the kernel name ("subarray-walk", ...).
 	Name string
 	// Construct names the generator emitter this program distills.
 	Construct string

@@ -13,6 +13,12 @@ import (
 // collector group (trace width, dispatcher, and collection mode must
 // all be invisible), strict gcverify, and cache transparency.
 func TestPromotedKernels(t *testing.T) {
+	if n := len(Kernels()); n != 3 {
+		t.Fatalf("%d promoted kernels, want 3 (one per construct)", n)
+	}
+	if n := len(KernelCells()); n != 17 {
+		t.Fatalf("kernel matrix has %d cells, want 17", n)
+	}
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/driver"
+	"repro/internal/gctab"
 	"repro/internal/telemetry"
 	"repro/internal/vmachine"
 )
@@ -170,5 +172,60 @@ func TestTelemetryRendezvous(t *testing.T) {
 	}
 	if h := tel.Snapshot().Histograms[telemetry.HistGCWaitNs]; int(h.Count) != waits {
 		t.Errorf("wait histogram has %d observations, %d wait events", h.Count, waits)
+	}
+}
+
+// TestDecodeCacheDeepStack runs the deep-recursion program with the
+// decode cache off and then on, collecting at the bottom of a 100-frame
+// stack every round. Both runs must print the closed-form total and
+// collect identically, every collection must walk the deep stack, and
+// the cache must both hit and cut the table bytes the walks read, as
+// counted by the decoders' shared gctab.decode.bytes counter.
+func TestDecodeCacheDeepStack(t *testing.T) {
+	const depth, rounds = 100, 3
+	c, err := driver.Compile("deepwalk.m3", bench.DeepWalkSource(depth, rounds), driver.Options{
+		Optimize: true, GCSupport: true, Scheme: gctab.DeltaPP,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cache bool) telemetry.Snapshot {
+		t.Helper()
+		c.Opts.DecodeCache = cache
+		cfg := vmachine.DefaultConfig()
+		cfg.HeapWords = 1 << 12
+		cfg.StackWords = depth*32 + 4096
+		var out strings.Builder
+		cfg.Out = &out
+		cfg.Tel = telemetry.New(telemetry.Config{})
+		m, _, err := c.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(0); err != nil {
+			t.Fatalf("cache=%v: %v", cache, err)
+		}
+		if want := bench.DeepWalkWant(depth, rounds); out.String() != want {
+			t.Errorf("cache=%v: output %q, want %q", cache, out.String(), want)
+		}
+		return cfg.Tel.Snapshot()
+	}
+	uncached, cached := run(false), run(true)
+	s := c.Encoded.Scheme
+	collections := cached.Counter(telemetry.CtrGCCollections)
+	if got := uncached.Counter(telemetry.CtrGCCollections); got != collections {
+		t.Errorf("collections: %d uncached, %d cached", got, collections)
+	}
+	if collections < rounds {
+		t.Errorf("collections = %d, want at least one per round", collections)
+	}
+	if frames := cached.Counter(telemetry.CtrGCFramesWalked); frames < depth*rounds {
+		t.Errorf("frames walked = %d, want >= %d", frames, depth*rounds)
+	}
+	if ub, cb := uncached.Counter(s.DecodeBytesCounter()), cached.Counter(s.DecodeBytesCounter()); cb == 0 || ub <= cb {
+		t.Errorf("decode bytes: %d uncached, %d cached; the cache must cut the deep walk's reads", ub, cb)
+	}
+	if cached.Counter(s.CacheHitsCounter()) == 0 {
+		t.Error("cached run recorded no cache hits")
 	}
 }

@@ -93,7 +93,7 @@ func spawnWorkers(t *testing.T, c *driver.Compiled, m *vmachine.Machine, names .
 // hundred mostly-concurrent cycles, with Debug heap checking inside
 // every final pause plus an explicit heap.Check and a strict gcverify
 // pass after each cycle. Skipped under -short; pairs with -race in
-// make race / make concurrent-smoke.
+// make race.
 func TestConcurrentSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped with -short")
@@ -121,6 +121,9 @@ func TestConcurrentSoak(t *testing.T) {
 	}
 	if col.Cycles < 100 {
 		t.Errorf("collector reports %d concurrent cycles, want >= 100", col.Cycles)
+	}
+	if col.ConcMarkTime == 0 {
+		t.Error("no mark time recorded off the pause path")
 	}
 	t.Logf("%d concurrent cycles soaked (satb logged=%d, copied %d objects)",
 		col.Cycles, col.SATBLogged, col.ObjectsCopied)
@@ -541,23 +544,30 @@ func TestConcurrentPauseSLO(t *testing.T) {
 // fan-out: the paper's destroy (complete trees) and typereg (the
 // structural-equivalence registry) lost whole subtrees within a few
 // cycles. Both must now match the stop-the-world run exactly, output
-// and collection schedule alike.
+// and collection schedule alike. destroy-split is a depth-8 tree of
+// several hundred thousand live words collected four wide, so every
+// collection's copy and fixup run split across goroutines in both
+// modes.
 func TestConcurrentTreeBenchmarksMatchSTW(t *testing.T) {
 	cases := []struct {
-		name string
-		heap int64
+		name    string
+		src     string
+		heap    int64
+		workers int  // trace width; 0 = the default
+		split   bool // the copy splits: ≥ 2·MinWordsPerWorker words a collection
 	}{
-		{"destroy", 16384},
-		{"typereg", 1500},
+		{"destroy", bench.Sources()["destroy"], 16384, 0, false},
+		{"typereg", bench.Sources()["typereg"], 1500, 0, false},
+		{"destroy-split", bench.DestroySource(4, 8, 60, 3, 0), 1 << 20, 4, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := bench.Sources()[tc.name]
 			run := func(concurrent bool) (string, int64) {
 				t.Helper()
 				opts := driver.NewOptions()
 				opts.ConcurrentMark = concurrent
-				c, err := driver.Compile(tc.name+".m3", src, opts)
+				opts.TraceWorkers = tc.workers
+				c, err := driver.Compile(tc.name+".m3", tc.src, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -572,6 +582,10 @@ func TestConcurrentTreeBenchmarksMatchSTW(t *testing.T) {
 				col.Debug = true
 				if err := m.Run(1_000_000_000); err != nil {
 					t.Fatalf("concurrent=%v: %v (out=%q)", concurrent, err, sb.String())
+				}
+				if tc.split && col.Collections > 0 && col.WordsCopied/col.Collections < 2*gc.MinWordsPerWorker {
+					t.Errorf("concurrent=%v: %d words copied in %d collections; the copy did not split",
+						concurrent, col.WordsCopied, col.Collections)
 				}
 				return sb.String(), col.Collections
 			}

@@ -112,6 +112,9 @@ func runEquivCell(t *testing.T, scheme gctab.Scheme, tw int) equivRun {
 	if err := m.Run(100_000_000); err != nil {
 		t.Fatalf("scheme=%s tw=%d: %v (out=%q)", scheme, tw, err, sb.String())
 	}
+	if col.MarkTime+col.CopyTime == 0 {
+		t.Errorf("scheme=%s tw=%d: no mark or copy time recorded", scheme, tw)
+	}
 	snap := tel.Snapshot()
 	return equivRun{
 		label:   fmt.Sprintf("scheme=%s tw=%d", scheme, tw),

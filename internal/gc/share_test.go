@@ -26,8 +26,9 @@ const (
 // objects (so compaction moves everything) and the root slots a
 // collection starts from.
 type shareWorld struct {
-	h     *heap.Heap
-	roots []int64
+	h      *heap.Heap
+	roots  []int64
+	chunks int // chunks the last collection's copy and fixup ran in
 }
 
 func newShareWorld(words int64) *shareWorld {
@@ -63,7 +64,7 @@ func (w *shareWorld) collect(t *testing.T, workers int) (gc.TraceStats, uint64) 
 	for i := range w.roots {
 		slots[i] = &w.roots[i]
 	}
-	st, err := gc.TraceCopy(slots, &gc.CopySpace{
+	sp := &gc.CopySpace{
 		Mem:        h.Mem,
 		SpanLo:     lo,
 		SpanHi:     hi,
@@ -72,10 +73,12 @@ func (w *shareWorld) collect(t *testing.T, workers int) (gc.TraceStats, uint64) 
 		PtrOffsets: h.PointerOffsets,
 		Copy:       h.CopyObjectSized,
 		ToBase:     h.BeginCollection(),
-	}, workers)
+	}
+	st, err := gc.TraceCopy(slots, sp, workers)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
+	w.chunks = gc.CopyChunks(sp, workers)
 	h.AddCopied(st.Objects)
 	h.FinishCollection(st.Next)
 	if err := h.Check(); err != nil {
@@ -153,24 +156,28 @@ func checkShared(t *testing.T, run func(t *testing.T, workers int) (gc.TraceStat
 	}
 }
 
-// TestShareTree collects a complete 4-ary tree of depth 7 (21845 nodes).
-// From its root alone a depth-first mark never holds more than 3·7+1
-// gray nodes, so no width shares anything: the serial start is a
-// property of the heap. With every node of level 5 also held in a root
-// slot — a thousand live references in frames, as a recursive builder
-// leaves them — the seeded stack overflows two chunks at once, and the
-// same tree must come out bit for bit the same.
+// TestShareTree collects complete 4-ary trees. From its root alone a
+// depth-first mark never holds more than 3·depth+1 gray nodes, so no
+// width shares anything: the serial start is a property of the heap.
+// With every node of level 5 also held in a root slot — a thousand live
+// references in frames, as a recursive builder leaves them — the seeded
+// stack overflows two chunks at once, and the same tree must come out
+// bit for bit the same. Depth 7 (21845 six-word nodes) stays just under
+// the copy split; depth 8 (87381 nodes, 524k words) is past it, so
+// wider pools copy and fix up in several goroutines over disjoint
+// ranges, and that image too must match the serial one.
 func TestShareTree(t *testing.T) {
-	const depth = 7
-	const nodes = (1<<(2*(depth+1)) - 1) / 3
 	for _, tc := range []struct {
 		name      string
+		depth     int
 		rootLevel int // level whose nodes are root slots too; 0 = the root alone
-	}{{"single-root", 0}, {"level-rooted", 5}} {
+	}{{"single-root", 7, 0}, {"level-rooted", 7, 5}, {"split-copy", 8, 0}} {
 		t.Run(tc.name, func(t *testing.T) {
+			nodes := int64(1<<(2*(tc.depth+1))-1) / 3
+			split := nodes*6 >= 2*gc.MinWordsPerWorker
 			checkShared(t, func(t *testing.T, workers int) (gc.TraceStats, uint64) {
 				w := newShareWorld(nodes * (6 + 3))
-				levels := w.buildTree(t, depth)
+				levels := w.buildTree(t, tc.depth)
 				w.roots = append(w.roots, levels[0][0])
 				if tc.rootLevel > 0 {
 					w.roots = append(w.roots, levels[tc.rootLevel]...)
@@ -179,6 +186,13 @@ func TestShareTree(t *testing.T) {
 				if n, sum := w.sumTree(w.roots[0]); n != nodes || sum != nodes*(nodes+1)/2 {
 					t.Errorf("workers=%d: moved tree has %d nodes summing to %d, want %d and %d",
 						workers, n, sum, nodes, nodes*(nodes+1)/2)
+				}
+				switch {
+				case split && workers > 1 && w.chunks < 2:
+					t.Errorf("workers=%d: %d live words copied in %d chunk; the split path did not run",
+						workers, st.Words, w.chunks)
+				case (!split || workers == 1) && w.chunks != 1:
+					t.Errorf("workers=%d: %d live words copied in %d chunks, want 1", workers, st.Words, w.chunks)
 				}
 				return st, hash
 			}, nodes, tc.rootLevel > 0)

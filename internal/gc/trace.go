@@ -69,7 +69,9 @@ const (
 	// minWordsPerWorker is the copy/fixup share below which a second
 	// goroutine does not pay: measured on two cores, 49k words each
 	// (gc.destroy) took as long shared as inline, 228k words each
-	// (BENCH_10's ballast) 20 to 35 % less.
+	// (a 470k-word ballast heap) 20 to 35 % less. No benchmark
+	// workload reaches the split side today; TestShareTree's
+	// split-copy case checks it, but does not time it.
 	minWordsPerWorker = 1 << 16
 )
 

@@ -70,8 +70,8 @@ type Config struct {
 	// Generational runs every tenant under the generational collector:
 	// registered programs are compiled with store checks, per-request
 	// garbage dies in minor collections and session caches promote to
-	// the old space — the server-shaped sweet spot the BENCH_10
-	// workload suite measures. Per-tenant /statz rows then carry the
+	// the old space — the server-shaped sweet spot the serve.*
+	// benchmark workloads measure. Per-tenant /statz rows then carry the
 	// minor/major split. The generational heap does not enforce
 	// HeapQuota (quota attribution is a semispace-heap feature);
 	// admission control still bounds process-wide residency.

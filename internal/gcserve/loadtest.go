@@ -12,58 +12,54 @@ import (
 // issuing mixed traffic for Duration — a fraction of one-shot runs and
 // a pool of persistent sessions resumed in small grants.
 type LoadConfig struct {
-	Program string `json:"program"`
+	Program string
 	// Clients is the number of concurrent request loops (default 2×Workers).
-	Clients int `json:"clients"`
+	Clients int
 	// Duration bounds the drive phase.
-	Duration time.Duration `json:"-"`
+	Duration time.Duration
 	// RunPercent of requests are one-shot runs; the rest resume a
 	// session from the client's pool (default 50).
-	RunPercent int `json:"run_percent"`
+	RunPercent int
 	// Grant is the per-resume step grant (default 2000).
-	Grant int64 `json:"grant"`
-	// Bench labels the report ("BENCH_6" by default; the workload
-	// suite passes "BENCH_10").
-	Bench string `json:"-"`
+	Grant int64
 	// WantOutput, when non-empty, makes the drive divergence-fatal:
 	// every completed request's output (cumulative, for sessions) must
 	// equal it bit-exactly — the serial-execution reference the caller
 	// computed by running the program once through the driver. A
 	// mismatch is recorded as an error and clears OutputsMatch.
-	WantOutput string `json:"-"`
+	WantOutput string
 }
 
-// LoadReport is the BENCH_6 measurement: sustained request throughput
-// over the tenant pool plus the cross-tenant distribution of per-tenant
-// gc pause quantiles.
+// LoadReport is one load drive's measurement: sustained request
+// throughput over the tenant pool plus the cross-tenant distribution of
+// per-tenant gc pause quantiles.
 type LoadReport struct {
-	Bench       string     `json:"bench"`
-	Config      LoadConfig `json:"config"`
-	DurationSec float64    `json:"duration_sec"`
-	Requests    int64      `json:"requests"`
-	Runs        int64      `json:"runs"`
-	Resumes     int64      `json:"resumes"`
-	SessionsRan int64      `json:"sessions_completed"`
-	Traps       int64      `json:"traps"`
-	Refused     int64      `json:"admission_refused"`
-	ReqPerSec   float64    `json:"req_per_sec"`
+	Config      LoadConfig
+	DurationSec float64
+	Requests    int64
+	Runs        int64
+	Resumes     int64
+	SessionsRan int64
+	Traps       int64
+	Refused     int64
+	ReqPerSec   float64
 	// OutputsChecked counts completed requests diffed against
 	// LoadConfig.WantOutput; OutputsMatch is false if any diverged.
-	OutputsChecked int64 `json:"outputs_checked,omitempty"`
-	OutputsMatch   bool  `json:"outputs_match"`
+	OutputsChecked int64
+	OutputsMatch   bool
 	// MinorTotal and MajorTotal sum the per-tenant generational split
 	// across the measured tenants (zero unless Config.Generational).
-	MinorTotal int64 `json:"minor_total,omitempty"`
-	MajorTotal int64 `json:"major_total,omitempty"`
+	MinorTotal int64
+	MajorTotal int64
 	// TenantsMeasured is how many completed tenants contributed pause
 	// distributions below.
-	TenantsMeasured int `json:"tenants_measured"`
+	TenantsMeasured int
 	// PauseP50AcrossTenantsNs aggregates each tenant's own p50/p99
 	// pause across the tenant population: [min, p50, p99, max] of the
 	// per-tenant values.
-	PauseP50AcrossTenantsNs [4]int64 `json:"pause_p50_across_tenants_ns"`
-	PauseP99AcrossTenantsNs [4]int64 `json:"pause_p99_across_tenants_ns"`
-	Errors                  []string `json:"errors,omitempty"`
+	PauseP50AcrossTenantsNs [4]int64
+	PauseP99AcrossTenantsNs [4]int64
+	Errors                  []string
 }
 
 func (c *LoadConfig) fill(workers int) {
@@ -78,9 +74,6 @@ func (c *LoadConfig) fill(workers int) {
 	}
 	if c.Grant <= 0 {
 		c.Grant = 2000
-	}
-	if c.Bench == "" {
-		c.Bench = "BENCH_6"
 	}
 }
 
@@ -211,7 +204,6 @@ func RunLoad(s *Server, cfg LoadConfig) (*LoadReport, error) {
 	}
 
 	rep := &LoadReport{
-		Bench:                   cfg.Bench,
 		Config:                  cfg,
 		DurationSec:             elapsed.Seconds(),
 		Requests:                requests.Load(),

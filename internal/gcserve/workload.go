@@ -2,15 +2,16 @@ package gcserve
 
 import "fmt"
 
-// SessionWorkloadSource is the BENCH_10 server-shaped tenant: a
-// request/response loop over a persistent session cache. Each of the
-// requests iterations allocates perReq short-lived cells (dead by the
-// next request — minor-collection food), and every cacheEvery-th
-// request promotes one entry into the session cache that survives to
-// the epilogue (old-space residents the major collections must copy).
-// The epilogue folds the surviving cache into the output, so a lost or
-// mis-fixed cache entry — e.g. a promoted pointer the remembered set
-// missed — changes the printed sums, not just the timing.
+// SessionWorkloadSource is the server-shaped tenant of the serve.*
+// benchmark workloads: a request/response loop over a persistent
+// session cache. Each of the requests iterations allocates perReq
+// short-lived cells (dead by the next request — minor-collection
+// food), and every cacheEvery-th request promotes one entry into the
+// session cache that survives to the epilogue (old-space residents the
+// major collections must copy). The epilogue folds the surviving cache
+// into the output, so a lost or mis-fixed cache entry — e.g. a
+// promoted pointer the remembered set missed — changes the printed
+// sums, not just the timing.
 //
 // The expected output is closed-form (SessionWorkloadWant), which is
 // what lets RunLoad diff thousands of concurrently scheduled tenants
