@@ -12,7 +12,8 @@
 //	-stack N            stack words per thread (default 64K)
 //	-collector precise|conservative|generational|none
 //	-stress             collect at every allocation gc-point
-//	-gcstats            print collector statistics on exit
+//	-gcstats            print collector statistics on exit (with
+//	                    -concmark, one more line for the cycles)
 //	-scheme S           table scheme: full-plain, full-packing,
 //	                    delta-plain, delta-previous, delta-packing, delta-pp
 //	-trace-workers N    trace-copy worker pool width for the precise
@@ -32,6 +33,7 @@ import (
 	"strings"
 
 	"repro/internal/driver"
+	"repro/internal/gc"
 	"repro/internal/gctab"
 	"repro/internal/vmachine"
 )
@@ -126,6 +128,9 @@ func main() {
 				col.Collections, col.FramesTraced, col.WordsCopied, col.StackTraceTime, col.TotalTime)
 			fmt.Fprintf(os.Stderr, "gc: phases mark %v, assign %v, copy %v, fixup %v (%d chunks shared)\n",
 				col.MarkTime, col.AssignTime, col.CopyTime, col.FixupTime, col.Steals)
+			if *concMark {
+				printCycles(&col.Cycle)
+			}
 		}
 		if runErr != nil {
 			fatal(runErr)
@@ -139,6 +144,9 @@ func main() {
 		if *gcstats {
 			fmt.Fprintf(os.Stderr, "gc: %d minor + %d major collections, %d words promoted, %d barrier checks (%d recorded), total %v\n",
 				col.Minor, col.Major, col.PromotedWords, col.BarrierChecks, col.BarrierHits, col.TotalTime)
+			if *concMark {
+				printCycles(&col.Cycle)
+			}
 		}
 		if runErr != nil {
 			fatal(runErr)
@@ -168,6 +176,13 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown collector %q", *collector))
 	}
+}
+
+// printCycles reports a -concmark run's concurrent cycles: bursts per
+// cycle is how finely marking was interleaved with the mutators.
+func printCycles(cy *gc.Cycle) {
+	fmt.Fprintf(os.Stderr, "gc: %d concurrent cycles, %d mark bursts, conc mark %v, final pauses %v, %d satb logged\n",
+		cy.Cycles, cy.Bursts, cy.ConcMarkTime, cy.FinalPauseTime, cy.SATBLogged)
 }
 
 func fatal(err error) {

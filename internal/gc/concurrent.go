@@ -7,8 +7,9 @@
 //	                seed the mark set from the root snapshot, arm the
 //	                SATB write barrier and black-allocation hooks
 //	concurrent mark MarkStep, once per completed scheduler pass while
-//	                mutators run: scan a bounded batch of gray objects
-//	                and fold in barrier-logged old values
+//	                mutators run: fold in barrier-logged old values,
+//	                then scan up to a budget of objects, the ones the
+//	                burst discovers included
 //	final pause     FinishCycle, at a second rendezvous: drain the
 //	                barrier buffer, then run only the collector's
 //	                deterministic copy tail (trace.go FinishCopy)
@@ -103,14 +104,15 @@ type Cycle struct {
 	// runs only the copy tail. Requires barriered stores in the program
 	// (codegen Options.Generational or Options.Barriers).
 	Concurrent bool
-	// MarkBudget bounds the gray objects scanned per mark burst
-	// (0 = DefaultMarkBudget). Smaller budgets mean shorter bursts and
-	// more of them.
+	// MarkBudget is the number of objects one mark burst scans,
+	// including those the burst itself discovers (0 = DefaultMarkBudget).
+	// Smaller budgets mean shorter bursts and more of them.
 	MarkBudget int
 
 	// Statistics. The walk and stall totals include the embedding
 	// collector's stop-the-world collections.
 	Cycles         int64 // completed concurrent cycles
+	Bursts         int64 // mark bursts that scanned something
 	SATBLogged     int64 // old values the write barrier claimed
 	FramesTraced   int64
 	StackTraceTime time.Duration
@@ -137,9 +139,9 @@ type Cycle struct {
 	// barrier-logged old values between mark steps: each entry was
 	// claimed when logged (claim-on-log bounds the buffer by the object
 	// count), so folding it into gray just schedules its fields for
-	// scanning. batch is the burst being scanned, offs the scan's
-	// pointer-offsets buffer. All four are recycled across cycles.
-	gray, satb, batch, offs []int64
+	// scanning. offs is the scan's pointer-offsets buffer. All three are
+	// recycled across cycles.
+	gray, satb, offs []int64
 	// start is the cycle's initial pause: mark bursts time themselves
 	// against it (time.Since of a monotonic reading is one clock read,
 	// time.Now is two), which is most of a burst that scans a handful of
@@ -255,14 +257,7 @@ func (cy *Cycle) blackAlloc(addr int64) {
 // increment. The scheduler calls it between passes, so no mutator runs
 // concurrently.
 func (cy *Cycle) MarkStep(*vmachine.Machine) (bool, error) {
-	if cy.sp == nil {
-		return true, nil
-	}
-	if len(cy.satb) > 0 {
-		cy.gray = append(cy.gray, cy.satb...)
-		cy.satb = cy.satb[:0]
-	}
-	if len(cy.gray) == 0 {
+	if cy.sp == nil || len(cy.gray)+len(cy.satb) == 0 {
 		return true, nil
 	}
 	t0 := time.Since(cy.start)
@@ -271,15 +266,8 @@ func (cy *Cycle) MarkStep(*vmachine.Machine) (bool, error) {
 	if budget <= 0 {
 		budget = DefaultMarkBudget
 	}
-	keep := max(len(cy.gray)-budget, 0)
-	// The batch comes off the gray stack's tail and scan appends its
-	// discoveries back onto the gray stack, so the batch is copied out
-	// first: appending in place would overwrite unread batch entries
-	// whenever a burst discovers faster than it reads (any tree-shaped
-	// graph) and silently drop their subtrees.
-	cy.batch = append(cy.batch[:0], cy.gray[keep:]...)
-	cy.gray = cy.gray[:keep]
-	cy.scan(cy.batch)
+	cy.mark(budget)
+	cy.Bursts++
 
 	burst := time.Since(cy.start) - t0
 	cy.ConcMarkTime += burst
@@ -289,36 +277,28 @@ func (cy *Cycle) MarkStep(*vmachine.Machine) (bool, error) {
 	cy.observePause(burst, false)
 	cy.probes.ConcMark.Observe(int64(burst))
 	cy.probes.Pause.Observe(int64(burst))
-	return len(cy.gray) == 0 && len(cy.satb) == 0, nil
+	return len(cy.gray) == 0, nil
 }
 
-// scan scans the pointer fields of batch, claiming and graying newly
-// discovered objects.
-func (cy *Cycle) scan(batch []int64) {
+// mark folds the barrier log into the gray stack, then pops gray
+// objects one at a time, claiming and graying the fields each one
+// discovers, until it has scanned budget objects (negative: no limit)
+// or the gray stack is empty.
+func (cy *Cycle) mark(budget int) {
 	sp, offs := cy.sp, cy.offs
-	for _, a := range batch {
+	gray := append(cy.gray, cy.satb...)
+	cy.satb = cy.satb[:0]
+	for ; budget != 0 && len(gray) > 0; budget-- {
+		a := gray[len(gray)-1]
+		gray = gray[:len(gray)-1]
 		offs = sp.PtrOffsets(a, offs[:0])
 		for _, off := range offs {
 			if v := sp.Mem[a+off]; v != 0 && sp.InFrom(v) && sp.Marks.ClaimSerial(v) {
-				cy.gray = append(cy.gray, v)
+				gray = append(gray, v)
 			}
 		}
 	}
-	cy.offs = offs
-}
-
-// drain marks to completion: barrier entries logged since the last
-// step, and any gray left if the machine rendezvoused before marking
-// finished (forced collections, allocation failure mid-cycle).
-func (cy *Cycle) drain() {
-	for len(cy.satb) > 0 || len(cy.gray) > 0 {
-		cy.gray = append(cy.gray, cy.satb...)
-		cy.satb = cy.satb[:0]
-		// The whole gray stack is the batch; discoveries go to the
-		// other buffer.
-		cy.batch, cy.gray = cy.gray, cy.batch[:0]
-		cy.scan(cy.batch)
-	}
+	cy.gray, cy.offs = gray, offs
 }
 
 // Finish is the final pause: host's FinishCycle. Must run at a
@@ -341,7 +321,10 @@ func (cy *Cycle) Finish(m *vmachine.Machine, host CycleHost) error {
 		telStart = p.Tel.Now()
 	}
 
-	cy.drain()
+	// Drain: barrier entries logged since the last step, and any gray
+	// left if the machine rendezvoused before marking finished (forced
+	// collections, allocation failure mid-cycle).
+	cy.mark(-1)
 	walkTime, err := cy.WalkStacks(m, env.Walk, env.Dec, env.WalkWorkers, env.TraceWorkers, true)
 	if err != nil {
 		return err

@@ -27,11 +27,33 @@ import (
 // vmachine.ConcurrentCollector (StartCycle and MarkStep promote), but
 // re-validates the whole world after every completed cycle: explicit
 // heap invariants plus the static gc-map verifier in strict mode.
+//
+// Its StartCycle wraps the machine's black-allocation hook to count the
+// objects allocated mid-mark, and its FinishCycle records how far each
+// cycle's burst count exceeded the fewest bursts its marked objects
+// need at the cycle's budget.
 type concChecker struct {
 	*gc.Collector
 	t      *testing.T
 	c      *driver.Compiled
 	cycles int
+
+	allocMarks       int64 // objects allocated black during a cycle
+	extraBursts      int64 // the most bursts any cycle took beyond ceil(marked/budget)
+	bursts0, copied0 int64 // Bursts and ObjectsCopied when the cycle started
+}
+
+func (s *concChecker) StartCycle(m *vmachine.Machine) error {
+	if err := s.Collector.StartCycle(m); err != nil {
+		return err
+	}
+	s.bursts0, s.copied0 = s.Collector.Bursts, s.Collector.ObjectsCopied
+	hook := m.AllocMark
+	m.AllocMark = func(addr int64) {
+		s.allocMarks++
+		hook(addr)
+	}
+	return nil
 }
 
 func (s *concChecker) check() {
@@ -48,6 +70,15 @@ func (s *concChecker) FinishCycle(m *vmachine.Machine) error {
 	if err := s.Collector.FinishCycle(m); err != nil {
 		return err
 	}
+	// Every object the cycle scanned was marked and so copied (the
+	// copied count also holds the black allocations, never scanned).
+	budget := int64(s.Collector.MarkBudget)
+	if budget <= 0 {
+		budget = gc.DefaultMarkBudget
+	}
+	marked := s.Collector.ObjectsCopied - s.copied0
+	extra := s.Collector.Bursts - s.bursts0 - (marked+budget-1)/budget
+	s.extraBursts = max(s.extraBursts, extra)
 	s.check()
 	return nil
 }
@@ -125,8 +156,16 @@ func TestConcurrentSoak(t *testing.T) {
 	if col.ConcMarkTime == 0 {
 		t.Error("no mark time recorded off the pause path")
 	}
-	t.Logf("%d concurrent cycles soaked (satb logged=%d, copied %d objects)",
-		col.Cycles, col.SATBLogged, col.ObjectsCopied)
+	// A burst's budget counts the objects it discovers too, so a cycle
+	// needs about ceil(marked/budget) bursts whatever the live set's
+	// shape; the slack covers bursts that only fold in barrier-logged
+	// values after marking ran dry. Pacing by the gray stack's length
+	// instead takes one burst per list cell.
+	if chk.extraBursts > 2 {
+		t.Errorf("a cycle took %d mark bursts more than ceil(marked/budget)", chk.extraBursts)
+	}
+	t.Logf("%d concurrent cycles soaked (satb logged=%d, copied %d objects, %d mark bursts)",
+		col.Cycles, col.SATBLogged, col.ObjectsCopied, col.Bursts)
 }
 
 // hostileSrc keeps exactly one reference to a victim Box alive and
@@ -220,14 +259,19 @@ func TestConcurrentHostileWhiteStore(t *testing.T) {
 	t.Logf("victim survived %d cycles (%d SATB logs)", col.Cycles, col.SATBLogged)
 }
 
-// blackAllocSrc holds a persistent ballast list live across the whole
-// run while a burst allocator churns; every ballast node is reachable
-// only through the list head, so a single wrongly-reclaimed (or
-// wrongly-unmarked) mid-mark allocation corrupts the final checksum.
+// blackAllocSrc holds two workers' lists live while they churn, and
+// every list node is reachable only through its list head, so a
+// single wrongly-reclaimed (or wrongly-unmarked) mid-mark allocation
+// corrupts the final checksum. A semispace cycle starts when an
+// allocation fails, so allocations the same size as the failed one
+// cannot succeed until the cycle ends; main therefore keeps requesting
+// slabs far larger than a list node, and when a slab request starts a
+// cycle the workers' small nodes still fit in the space it left.
 const blackAllocSrc = `
 MODULE BA;
 TYPE List = REF RECORD head: INTEGER; tail: List; END;
-VAR done1, done2, s1, s2, t: INTEGER;
+TYPE Slab = REF ARRAY OF INTEGER;
+VAR done1, done2, s1, s2: INTEGER;
 
 PROCEDURE Build(n: INTEGER): List =
   VAR keep: List; junk: List; i: INTEGER;
@@ -255,17 +299,22 @@ PROCEDURE Sum(l: List): INTEGER =
 PROCEDURE Loop(n: INTEGER): INTEGER =
   VAR r, s: INTEGER;
   BEGIN
-    FOR r := 1 TO 40 DO s := Sum(Build(n)); END;
+    FOR r := 1 TO 10 DO s := Sum(Build(n)); END;
     RETURN s;
   END Loop;
 
 PROCEDURE W1() = BEGIN s1 := Loop(110); done1 := 1; END W1;
 PROCEDURE W2() = BEGIN s2 := Loop(90); done2 := 1; END W2;
 
+PROCEDURE Slabs(VAR done: INTEGER) =
+  VAR slab: Slab;
+  BEGIN
+    WHILE done = 0 DO slab := NEW(Slab, 400); slab[0] := done; END;
+  END Slabs;
+
 BEGIN
-  t := Loop(130);
-  WHILE done1 = 0 DO t := t + 1; END;
-  WHILE done2 = 0 DO t := t + 1; END;
+  Slabs(done1);
+  Slabs(done2);
   PutInt(s1 + s2); PutLn();
 END BA.
 `
@@ -273,13 +322,14 @@ END BA.
 // TestConcurrentBlackAllocation is the regression for the per-thread
 // allocation gap left by the dispatch fast path: objects allocated
 // while a cycle is marking must be claimed black (never scanned, never
-// white), or the final copy reclaims live data. The tiny mark budget
-// keeps a cycle in flight almost permanently, so nearly all allocation
-// happens mid-mark; the checksum plus per-cycle heap checks catch any
-// reclaimed survivor.
+// white), or the final copy reclaims live data. The small mark budget
+// stretches each cycle over many scheduler passes, and the slab
+// requests leave room for the workers to allocate through them; the
+// checksum plus per-cycle heap checks catch any reclaimed survivor,
+// and the count of black allocations shows the gap was exercised.
 func TestConcurrentBlackAllocation(t *testing.T) {
 	c := concCompile(t, blackAllocSrc, nil)
-	cfg := vmachine.Config{HeapWords: 4096, StackWords: 4096, MaxThreads: 8, Quantum: 47}
+	cfg := vmachine.Config{HeapWords: 6144, StackWords: 4096, MaxThreads: 8, Quantum: 47}
 	var sb strings.Builder
 	cfg.Out = &sb
 	m, col, err := c.NewMachine(cfg)
@@ -301,7 +351,10 @@ func TestConcurrentBlackAllocation(t *testing.T) {
 	if col.Cycles == 0 {
 		t.Fatal("no concurrent cycles ran; the test exercised nothing")
 	}
-	t.Logf("%d cycles with mid-mark allocation (copied %d objects)", col.Cycles, col.ObjectsCopied)
+	if chk.allocMarks == 0 {
+		t.Fatal("nothing was allocated mid-mark; black allocation was not exercised")
+	}
+	t.Logf("%d cycles, %d objects allocated black", col.Cycles, chk.allocMarks)
 }
 
 // TestConcurrentDispatchParity runs the hostile shuffle under the
@@ -533,19 +586,16 @@ func TestConcurrentPauseSLO(t *testing.T) {
 	}
 }
 
-// TestConcurrentTreeBenchmarksMatchSTW pins the gray-stack aliasing
-// regression: MarkStep carves each batch off the tail of the gray
-// stack while scanBatch appends discoveries back onto the same stack,
-// so a remainder that shared backing capacity with the batch let those
-// appends overwrite unread batch entries mid-scan and silently drop
-// their subtrees. List-shaped graphs — one discovery per scanned
-// object, the difftest generator's habitual output — can never outrun
-// the batch read cursor, so the hole only shows on graphs with
-// fan-out: the paper's destroy (complete trees) and typereg (the
-// structural-equivalence registry) lost whole subtrees within a few
-// cycles. Both must now match the stop-the-world run exactly, output
-// and collection schedule alike. destroy-split is a depth-8 tree of
-// several hundred thousand live words collected four wide, so every
+// TestConcurrentTreeBenchmarksMatchSTW pins tree-shaped marking across
+// bursts against stop-the-world: the paper's destroy (complete trees)
+// and typereg (the structural-equivalence registry) have the fan-out
+// the difftest generator's list-shaped graphs lack, and both must
+// match the stop-the-world run exactly, output and collection schedule
+// alike. Fan-out is the shape that once exposed a gray-stack aliasing
+// bug, a burst's batch overwritten by its own discoveries, dropping
+// whole subtrees; marking now pops one object at a time, so that bug
+// can no longer be written. destroy-split is a depth-8 tree of several
+// hundred thousand live words collected four wide, so every
 // collection's copy and fixup run split across goroutines in both
 // modes.
 func TestConcurrentTreeBenchmarksMatchSTW(t *testing.T) {

@@ -21,8 +21,8 @@ func concTestHeap(t *testing.T) *heap.Heap {
 	descs := &types.DescTable{Descs: []*types.Desc{
 		{ID: 0, Kind: types.DescRecord, Name: "Pair", DataWords: 2, PtrOffsets: []int64{1}},
 	}}
-	mem := make([]int64, 256)
-	return heap.New(mem, 32, 224, descs)
+	mem := make([]int64, 6464)
+	return heap.New(mem, 32, 6464, descs)
 }
 
 // allocPair allocates one Pair{n, next} and returns its address.
@@ -157,5 +157,46 @@ func TestMarkStepBoundedAndFoldsSATB(t *testing.T) {
 	}
 	if marks.Len() != 5 {
 		t.Fatalf("mark set holds %d objects, want 5", marks.Len())
+	}
+}
+
+// TestMarkStepBudgetCountsDiscoveries pins the burst pacing: a burst's
+// budget counts the objects it scans, the ones it discovers included,
+// so a list of n cells marks in ceil(n/budget) bursts rather than one
+// burst per cell.
+func TestMarkStepBudgetCountsDiscoveries(t *testing.T) {
+	const n, budget = 1000, 64
+	h := concTestHeap(t)
+	cells := make([]int64, n)
+	for i := range cells {
+		next := int64(0)
+		if i > 0 {
+			next = cells[i-1]
+		}
+		cells[i] = allocPair(t, h, int64(i), next)
+	}
+
+	c := armed(h)
+	marks := c.sp.Marks
+	c.MarkBudget = budget
+	marks.Claim(cells[n-1])
+	c.gray = append(c.gray, cells[n-1])
+
+	steps := 0
+	for done := false; !done; {
+		var err error
+		if done, err = c.MarkStep(nil); err != nil {
+			t.Fatal(err)
+		}
+		if steps++; steps > n {
+			t.Fatal("mark never terminated")
+		}
+	}
+	if want := (n + budget - 1) / budget; steps != want || c.Bursts != int64(want) {
+		t.Fatalf("a %d-cell list took %d steps (%d bursts) at budget %d, want %d",
+			n, steps, c.Bursts, budget, want)
+	}
+	if marks.Len() != n {
+		t.Fatalf("mark set holds %d objects, want %d", marks.Len(), n)
 	}
 }

@@ -10,12 +10,12 @@ import (
 
 // Tree-shaped (fan-out 2) live data under concurrent generational
 // majors: mirrors TestConcurrentMajorSplitMatchesSTW but keeps a
-// binary tree live across rounds. This is the structural extreme that
-// caught MarkStep's gray-stack aliasing — list-shaped programs
-// discover at most one object per scan and can never outrun the batch
-// read cursor, while a tree's fan-out overwrote unread batch entries
-// and silently dropped whole subtrees (object-reachable-but-unmarked
-// under col.Debug).
+// binary tree live across rounds, so marking with fan-out spans
+// several bursts, and pins it against stop-the-world (a dropped
+// subtree shows as object-reachable-but-unmarked under col.Debug).
+// Fan-out is the shape that once exposed a gray-stack aliasing bug,
+// a burst's batch overwritten by its own discoveries; marking now pops
+// one object at a time, so that bug can no longer be written.
 func TestConcurrentMajorTreeMatchesSTW(t *testing.T) {
 	src := `
 MODULE T;
