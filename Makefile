@@ -56,7 +56,8 @@ race:
 # a steady-state minor (gengc), a scheduler slice with its stat-row
 # update (gcserve), and a slow-path allocation that collects (vmachine)
 # must not allocate; a compile of each paper program (driver) must stay
-# under its ceiling.
+# under its ceiling, and so must a machine, whose mapped memory image
+# is not Go heap (driver).
 allocs:
 	$(GO) test -count=1 -run Allocs ./internal/gc ./internal/gengc ./internal/gcserve ./internal/vmachine ./internal/driver
 

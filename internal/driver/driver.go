@@ -244,6 +244,7 @@ func (c *Compiled) NewMachineWithDecoder(cfg vmachine.Config, dec gctab.TableDec
 	}
 	m := vmachine.New(c.Prog, cfg)
 	h := heap.NewQuota(m.Mem, m.HeapLo, m.HeapHi, c.Prog.Descs, cfg.HeapQuota)
+	h.MemOwner = m.MemOwner()
 	col := gc.NewWith(h, dec)
 	col.WalkWorkers = c.Opts.WalkWorkers
 	col.TraceWorkers = c.Opts.TraceWorkers
@@ -281,6 +282,7 @@ func (c *Compiled) NewGenerationalMachineWithDecoder(cfg vmachine.Config, dec gc
 	}
 	m := vmachine.New(c.Prog, cfg)
 	h := gengc.NewHeap(m.Mem, m.HeapLo, m.HeapHi, c.Prog.Descs)
+	h.MemOwner = m.MemOwner()
 	col := gengc.NewWith(h, dec)
 	col.WalkWorkers = c.Opts.WalkWorkers
 	col.TraceWorkers = c.Opts.TraceWorkers
@@ -301,6 +303,7 @@ func (c *Compiled) NewGenerationalMachineWithDecoder(cfg vmachine.Config, dec gc
 func (c *Compiled) NewConservativeMachine(cfg vmachine.Config) (*vmachine.Machine, *conservative.Heap, error) {
 	m := vmachine.New(c.Prog, cfg)
 	h := conservative.New(m.Mem, m.HeapLo, m.HeapHi, c.Prog.Descs)
+	h.MemOwner = m.MemOwner()
 	h.ScanWorkers = c.Opts.WalkWorkers
 	h.SetTracer(cfg.Tel)
 	m.Alloc = h
@@ -342,7 +345,8 @@ func LoadObject(r io.Reader) (*Compiled, error) {
 // the program to completion, returning its output. A zero cfg uses
 // vmachine.DefaultConfig. It is the execution half of Run; the CLI,
 // the e2e suite, and the gcserve tenant pool all run through this
-// compile-once/instantiate-many pair.
+// compile-once/instantiate-many pair. The machine is closed before
+// Execute returns, so its pages go back at once.
 func (c *Compiled) Execute(cfg vmachine.Config) (string, error) {
 	if cfg.HeapWords == 0 {
 		cfg = vmachine.DefaultConfig()
@@ -353,10 +357,9 @@ func (c *Compiled) Execute(cfg vmachine.Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := m.Run(0); err != nil {
-		return out.String(), err
-	}
-	return out.String(), nil
+	err = m.Run(0)
+	m.Close()
+	return out.String(), err
 }
 
 // Run compiles and executes src with the precise collector, returning

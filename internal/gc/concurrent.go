@@ -386,7 +386,7 @@ func (cy *Cycle) Finish(m *vmachine.Machine, host CycleHost) error {
 // MarkStep/FinishCycle itself and never calls Collect for a cycle.
 func (cy *Cycle) Inline(m *vmachine.Machine, host CycleHost) (bool, error) {
 	if cy.sp != nil {
-		return true, cy.finishActive(m, host)
+		return true, host.FinishCycle(m)
 	}
 	if host.ShouldStartCycle() {
 		return true, cy.collectSplit(m, host)
@@ -398,25 +398,11 @@ func (cy *Cycle) Inline(m *vmachine.Machine, host CycleHost) (bool, error) {
 // mutator steps between phases it is bitwise identical to a
 // stop-the-world collection, so the difftest matrix exercises exactly
 // the split-cycle code while pinning its results to the STW cells.
+// No burst runs: FinishCycle's drain does the whole mark inside the
+// final pause, since no mutator could run between bursts anyway.
 func (cy *Cycle) collectSplit(m *vmachine.Machine, host CycleHost) error {
 	if err := host.StartCycle(m); err != nil {
 		return err
-	}
-	return cy.finishActive(m, host)
-}
-
-// finishActive drains the active cycle's marking and finishes it (the
-// direct-Collect path; the scheduler's own rendezvous uses the same
-// MarkStep/FinishCycle pair).
-func (cy *Cycle) finishActive(m *vmachine.Machine, host CycleHost) error {
-	for {
-		done, err := cy.MarkStep(m)
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
 	}
 	return host.FinishCycle(m)
 }

@@ -726,3 +726,64 @@ func TestConcurrentFinalPauseCatchesUnmarkedRoot(t *testing.T) {
 			words, col.WordsCopied, objects, col.ObjectsCopied, collections, col.Collections)
 	}
 }
+
+// keepSrc keeps every twelfth of 12,000 list cells live, so a small
+// heap collects several times with a thousand survivors to mark.
+const keepSrc = `
+MODULE Keep;
+TYPE L = REF RECORD v: INTEGER; n: L; END;
+VAR keep, p: L; i, s: INTEGER;
+BEGIN
+  FOR i := 1 TO 12000 DO
+    p := NEW(L);
+    p.v := i;
+    IF i MOD 12 = 0 THEN p.n := keep; keep := p; END;
+  END;
+  s := 0;
+  WHILE keep # NIL DO s := s + keep.v; keep := keep.n; END;
+  PutInt(s); PutLn();
+END Keep.
+`
+
+// TestInlineCycleFinishesOnce: a single-threaded machine runs each
+// concurrent cycle inline, with no mutator step between its phases,
+// so the final pause's drain does all the marking. No burst runs, and
+// each cycle stalls the mutator exactly twice: once for the root scan
+// and once for the final pause, the only stop in FinalPauses.
+func TestInlineCycleFinishesOnce(t *testing.T) {
+	opts := driver.NewOptions()
+	opts.ConcurrentMark = true
+	c, err := driver.Compile("keep.m3", keepSrc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New(telemetry.Config{})
+	var sb strings.Builder
+	m, col, err := c.NewMachine(vmachine.Config{HeapWords: 16384, StackWords: 4096, MaxThreads: 1, Out: &sb, Tel: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pauses, finals telemetry.Histogram
+	col.Pauses, col.FinalPauses = &pauses, &finals
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != "6006000\n" {
+		t.Fatalf("output %q, want 6006000", sb.String())
+	}
+	if col.Cycles < 3 || col.Cycles != m.GCCount {
+		t.Fatalf("%d concurrent cycles of %d collections, want every collection a cycle and at least 3", col.Cycles, m.GCCount)
+	}
+	if col.Bursts != 0 {
+		t.Errorf("%d mark bursts, want 0: an inline cycle's mark belongs to its final pause", col.Bursts)
+	}
+	if got := finals.Snapshot().Count; got != col.Cycles {
+		t.Errorf("%d final pauses for %d cycles, want one each", got, col.Cycles)
+	}
+	if got := pauses.Snapshot().Count; got != 2*col.Cycles {
+		t.Errorf("%d stalls for %d cycles, want two each (root scan, final pause)", got, col.Cycles)
+	}
+	if got := tel.Snapshot().Histograms[telemetry.HistGCConcMarkNs].Count; got != 0 {
+		t.Errorf("%s counted %d bursts, want 0", telemetry.HistGCConcMarkNs, got)
+	}
+}

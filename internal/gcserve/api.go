@@ -126,6 +126,7 @@ func (s *Server) CloseSession(id string) error {
 	}
 	delete(s.pool, id)
 	s.mu.Unlock()
+	t.m.Close()
 	s.release()
 	s.recordStat(t, "closed")
 	return nil
@@ -141,8 +142,9 @@ func (s *Server) enqueueLocked(t *tenant) {
 	s.runq <- t
 }
 
-// retire removes a completed tenant, releases its memory reservation,
-// and folds its final stats into the completed ring.
+// retire removes a completed tenant, closes its machine (its pages go
+// back now, not when the garbage collector gets to them), releases its
+// memory reservation, and folds its final stats into the completed ring.
 func (s *Server) retire(t *tenant, r result) {
 	state := "done"
 	if r.Err != nil {
@@ -161,6 +163,7 @@ func (s *Server) retire(t *tenant, r result) {
 		}
 	}
 	s.mu.Unlock()
+	t.m.Close()
 	s.release()
 	s.recordStat(t, state)
 }

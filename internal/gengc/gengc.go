@@ -40,6 +40,9 @@ type Heap struct {
 	Lo    int64
 	Hi    int64
 	Descs *types.DescTable
+	// MemOwner keeps Mem's backing alive while the heap is reachable
+	// (vmachine.Machine.MemOwner); nil when Mem is an ordinary slice.
+	MemOwner any
 
 	nurseryEnd int64
 	oldSemi    int64

@@ -22,6 +22,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/printer"
@@ -162,8 +163,10 @@ func (im *srcImporter) checkTarget(rel string) ([]*ast.File, *types.Info, error)
 	return files, info, nil
 }
 
-// parseDir parses every non-test .go file of one directory, sorted for
-// deterministic file order.
+// parseDir parses every non-test .go file of one directory that the
+// build constraints select for this platform (the go command's default
+// build context, so of two files that split one function by
+// //go:build, only one is loaded), sorted for deterministic file order.
 func (im *srcImporter) parseDir(dir string, mode parser.Mode) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -175,7 +178,13 @@ func (im *srcImporter) parseDir(dir string, mode parser.Mode) ([]*ast.File, erro
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
-		names = append(names, n)
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {

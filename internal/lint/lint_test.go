@@ -121,6 +121,38 @@ func Keys(t defs.Table) []string {
 	}
 }
 
+// A function split across two files by build constraints is declared
+// once per build, so the loader must read only the file the go command
+// would compile here, not both.
+func TestCheckHonoursBuildConstraints(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module testmod\n\ngo 1.21\n",
+		"pkg/linux.go": `//go:build linux
+
+package pkg
+
+func words() int { return 1 }
+`,
+		"pkg/other.go": `//go:build !linux
+
+package pkg
+
+func words() int { return 2 }
+`,
+		"pkg/pkg.go": `package pkg
+
+func Twice() int { return 2 * words() }
+`,
+	})
+	fs, err := Check(root, []string{"pkg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 0 {
+		t.Fatalf("findings = %v, want none", fs)
+	}
+}
+
 // The repository's own determinism-critical packages must stay clean:
 // this is the same scan CI runs, kept close to the checker so a new
 // range-over-map in the compiler fails tests immediately.

@@ -312,6 +312,9 @@ func (m *Machine) Halted() bool {
 // where it stopped — the interleaving, and therefore every observable
 // result, is independent of budget slicing.
 func (m *Machine) run(maxSteps, fuel int64) (bool, error) {
+	if m.Mem == nil {
+		return false, ErrClosed
+	}
 	m.Yielded = false
 	executed := int64(0)
 	if m.Tel != nil {

@@ -1,6 +1,7 @@
 package vmachine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -247,8 +248,10 @@ const guardWords = 16
 // Machine executes a linked Program.
 type Machine struct {
 	Prog *Program
-	Mem  []int64
-	Out  io.Writer
+	// Mem is the memory image: guard words, globals, stacks and the
+	// heap region. See newMem for where it comes from; Close drops it.
+	Mem []int64
+	Out io.Writer
 
 	GlobalBase int64
 	HeapLo     int64
@@ -344,6 +347,9 @@ type Machine struct {
 	gcRequestNs   int64 // telemetry timestamp of the pending rendezvous request
 	mSteps        *telemetry.Counter
 	hWait         *telemetry.Histogram
+
+	// mem owns Mem's backing; Close keeps it and drops Mem.
+	mem *mapping
 }
 
 // New builds a machine for prog. The caller attaches an Allocator and a
@@ -359,9 +365,11 @@ func New(prog *Program, cfg Config) *Machine {
 	stackBase := globalBase + prog.GlobalWords + cfg.GlobalsExtra
 	heapLo := stackBase + int64(cfg.MaxThreads)*cfg.StackWords
 	heapHi := heapLo + cfg.HeapWords
+	mem, owner := newMem(heapHi)
 	m := &Machine{
 		Prog:       prog,
-		Mem:        make([]int64, heapHi),
+		Mem:        mem,
+		mem:        owner,
 		Out:        cfg.Out,
 		GlobalBase: globalBase,
 		HeapLo:     heapLo,
@@ -376,6 +384,31 @@ func New(prog *Program, cfg Config) *Machine {
 	m.pcSampleEvery = cfg.PCSampleEvery
 	return m
 }
+
+// ErrClosed is what Run, RunFuel and Spawn return once the machine
+// is closed.
+var ErrClosed = errors.New("vmachine: machine closed")
+
+// Close releases the memory image now instead of when the garbage
+// collector finds the machine unreachable: on a mapped image the
+// pages go back to the kernel at once. It sets Mem to nil, and from
+// then on Run, RunFuel and Spawn return ErrClosed. A view of the old
+// image held elsewhere (a heap the machine was built with) reads
+// zeros but never faults. Close must not run concurrently with the
+// machine; a second Close does nothing.
+func (m *Machine) Close() {
+	if m.Mem == nil {
+		return
+	}
+	m.Mem = nil
+	m.mem.release()
+}
+
+// MemOwner returns the value that keeps the memory image alive. A
+// structure that keeps its own view of Mem (a heap built over it) must
+// also keep this, so the image cannot be unmapped while the view is
+// reachable and the machine is not.
+func (m *Machine) MemOwner() any { return m.mem }
 
 // SetTracer attaches (or, with nil, detaches) VM telemetry, resolving
 // the metric handles once so the step loop stays map-free.
@@ -440,6 +473,9 @@ const HaltPC = 0
 // word arguments. The root frame's saved FP is 0, which terminates
 // stack walks.
 func (m *Machine) Spawn(procIdx int, args ...int64) (*Thread, error) {
+	if m.Mem == nil {
+		return nil, ErrClosed
+	}
 	if m.stackNext+m.stackWords > m.HeapLo {
 		return nil, fmt.Errorf("vmachine: too many threads")
 	}
@@ -522,7 +558,11 @@ func (m *Machine) collectNow() error {
 
 // finishConcCycle drains remaining mark work and runs the final pause
 // of the active concurrent cycle, then clears the cycle state. The
-// caller counts the collection.
+// caller counts the collection. The drain runs as bounded bursts, not
+// inside FinishCycle: on a multi-threaded machine every thread can be
+// parked before marking is done, and folding that mark into the final
+// pause makes the pause as long as a stop-the-world collection
+// (TestConcurrentPauseSLO fails).
 func (m *Machine) finishConcCycle() error {
 	cc := m.concCollector()
 	if cc == nil {

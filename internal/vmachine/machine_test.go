@@ -1,6 +1,7 @@
 package vmachine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -39,6 +40,39 @@ func TestTooManyThreads(t *testing.T) {
 	}
 	if _, err := m.Spawn(0); err == nil {
 		t.Error("third thread accepted with MaxThreads=2")
+	}
+}
+
+// TestClose: a closed machine drops its image and refuses to run or
+// spawn with ErrClosed, a second Close does nothing, and on a mapped
+// image a stale view reads zeros instead of faulting.
+func TestClose(t *testing.T) {
+	prog := buildProgram(t, []Instr{{Op: OpRet}}, 0, 0)
+	m := New(prog, Config{HeapWords: 64, StackWords: 64, MaxThreads: 2})
+	m.Alloc = &fixedAlloc{next: m.HeapLo}
+	m.Collector = nopCollector{}
+	if _, err := m.Spawn(0); err != nil {
+		t.Fatal(err)
+	}
+	view := m.Mem
+	view[m.HeapLo] = 7
+	for i := 0; i < 2; i++ {
+		m.Close()
+		if m.Mem != nil {
+			t.Fatalf("close %d: Mem kept", i+1)
+		}
+		if err := m.Run(0); !errors.Is(err, ErrClosed) {
+			t.Errorf("close %d: Run = %v, want ErrClosed", i+1, err)
+		}
+		if done, err := m.RunFuel(10); done || !errors.Is(err, ErrClosed) {
+			t.Errorf("close %d: RunFuel = %v, %v, want false, ErrClosed", i+1, done, err)
+		}
+		if _, err := m.Spawn(0); !errors.Is(err, ErrClosed) {
+			t.Errorf("close %d: Spawn = %v, want ErrClosed", i+1, err)
+		}
+	}
+	if m.mem != nil && view[m.HeapLo] != 0 {
+		t.Errorf("released page reads %d, want 0", view[m.HeapLo])
 	}
 }
 
