@@ -53,11 +53,12 @@ race:
 	$(GO) test -race ./internal/telemetry/... ./internal/heap/... ./internal/gc/... ./internal/gctab/... ./internal/gengc/... ./internal/vmachine/... ./internal/driver/... ./internal/gcserve/...
 
 # The allocation guards in one command. A steady-state collection (gc),
-# a steady-state minor (gengc), a scheduler slice with its stat-row
-# update (gcserve), and a slow-path allocation that collects (vmachine)
-# must not allocate; a compile of each paper program (driver) must stay
-# under its ceiling, and so must a machine, whose mapped memory image
-# is not Go heap (driver).
+# a steady-state minor and major, stop-the-world and concurrent
+# (gengc), a scheduler slice with its stat-row update (gcserve), and a
+# slow-path allocation that collects (vmachine) must not allocate; a
+# compile of each paper program (driver) must stay under its ceiling,
+# and so must a machine, whose mapped memory image is not Go heap
+# (driver).
 allocs:
 	$(GO) test -count=1 -run Allocs ./internal/gc ./internal/gengc ./internal/gcserve ./internal/vmachine ./internal/driver
 

@@ -108,14 +108,9 @@ func New(mem []int64, lo, hi int64, descs *types.DescTable) *Heap {
 // TryAlloc implements vmachine.Allocator with first-fit allocation.
 func (h *Heap) TryAlloc(descID int, n int64) (int64, bool) {
 	d := h.Descs.Get(descID)
-	var size int64
-	if d.Kind == types.DescOpenArray {
-		if n < 0 {
-			return 0, false
-		}
-		size = 2 + n*d.ElemWords
-	} else {
-		size = 1 + d.DataWords
+	size, ok := d.AllocWords(n)
+	if !ok {
+		return 0, false
 	}
 	for i := range h.free {
 		if h.free[i].size >= size {
@@ -217,7 +212,7 @@ func (h *Heap) Collect(m *vmachine.Machine) error {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		addr := h.objects[i].addr
-		offs = h.pointerOffsets(addr, offs[:0])
+		offs = h.Descs.PointerOffsets(h.Mem, addr, offs[:0])
 		for _, off := range offs {
 			markWord(h.Mem[addr+off])
 		}
@@ -341,25 +336,6 @@ func (h *Heap) scanRoots(m *vmachine.Machine) [][]int {
 	}
 	wg.Wait()
 	return chunks
-}
-
-func (h *Heap) pointerOffsets(addr int64, out []int64) []int64 {
-	d := h.Descs.Get(int(h.Mem[addr]))
-	switch d.Kind {
-	case types.DescOpenArray:
-		n := h.Mem[addr+1]
-		for i := int64(0); i < n; i++ {
-			base := 2 + i*d.ElemWords
-			for _, off := range d.ElemPtrOffsets {
-				out = append(out, base+off)
-			}
-		}
-	default:
-		for _, off := range d.PtrOffsets {
-			out = append(out, 1+off)
-		}
-	}
-	return out
 }
 
 // LiveWords reports the words currently held by allocated objects.

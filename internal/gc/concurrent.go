@@ -77,8 +77,9 @@ type CycleEnv struct {
 	// Space is the CopySpace the collector hands FinishCopy, aimed at
 	// the mark span [SpanLo, SpanHi): every address a black allocation
 	// can claim before the flip, not just the allocation watermark. The
-	// cycle marks into its Marks, testing values with InFrom (the
-	// heap's Contains) and scanning objects through Mem and PtrOffsets.
+	// cycle marks into its Marks, testing values with the engine's
+	// address rule (CopySpace.InFrom) and reading each object's pointer
+	// slots from Mem and Descs.
 	Space *CopySpace
 	// Extra are root slots beyond the walked stacks (Walk.Roots).
 	Extra []int64
@@ -291,7 +292,7 @@ func (cy *Cycle) mark(budget int) {
 	for ; budget != 0 && len(gray) > 0; budget-- {
 		a := gray[len(gray)-1]
 		gray = gray[:len(gray)-1]
-		offs = sp.PtrOffsets(a, offs[:0])
+		offs = sp.Descs.PointerOffsets(sp.Mem, a, offs[:0])
 		for _, off := range offs {
 			if v := sp.Mem[a+off]; v != 0 && sp.InFrom(v) && sp.Marks.ClaimSerial(v) {
 				gray = append(gray, v)

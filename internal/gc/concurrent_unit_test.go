@@ -40,7 +40,7 @@ func allocPair(t *testing.T, h *heap.Heap, n, next int64) int64 {
 // armed returns a cycle hand-armed over h, as Start leaves it when no
 // root references anything.
 func armed(h *heap.Heap) *Cycle {
-	sp := &CopySpace{Mem: h.Mem, InFrom: h.Contains, PtrOffsets: h.PointerOffsets, Marks: new(heap.MarkSet)}
+	sp := &CopySpace{Mem: h.Mem, Descs: h.Descs, SpanLo: h.FromLo, SpanHi: h.Limit, ToBase: h.ToLo, Marks: new(heap.MarkSet)}
 	sp.Marks.Reset(h.FromLo, h.Limit)
 	return &Cycle{sp: sp, probes: &Probes{}}
 }
@@ -71,7 +71,10 @@ func TestSATBRecordClaimsOnce(t *testing.T) {
 func TestSATBRecordIgnoresNonHeapValues(t *testing.T) {
 	h := concTestHeap(t)
 	c := armed(h)
-	for _, v := range []int64{0, 1, h.FromLo - 1, h.Alloc, h.Limit + 10} {
+	// The armed span runs to Limit, past Alloc: a concurrent cycle's
+	// black allocations land there, and no pointer value lies beyond
+	// Alloc, so the values probed are the ones outside the span.
+	for _, v := range []int64{0, 1, h.FromLo - 1, h.Limit, h.ToLo, h.Limit + 10} {
 		c.satbRecord(v)
 	}
 	if c.SATBLogged != 0 || len(c.satb) != 0 {

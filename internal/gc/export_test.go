@@ -14,3 +14,8 @@ func CopyChunks(sp *CopySpace, workers int) int {
 	runChunks(sp, workers, func(*CopySpace, *markWorker, int, int) { n.Add(1) })
 	return int(n.Load())
 }
+
+// SpaceOf returns the CopySpace c aims its collections with; after a
+// collection it still holds the span and copy target that collection
+// used.
+func SpaceOf(c *Collector) *CopySpace { return &c.space }

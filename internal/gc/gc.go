@@ -296,17 +296,10 @@ func (c *Collector) CycleTail(_ *vmachine.Machine, roots []*int64) (TraceStats, 
 }
 
 // copySpace aims the collector's CopySpace at the from-space span
-// [lo, hi) and the current copy space. The heap callbacks are bound
-// once: a method value allocates each time it is taken.
+// [lo, hi) and the current copy space.
 func (c *Collector) copySpace(lo, hi int64) *CopySpace {
 	h, sp := c.Heap, &c.space
-	if sp.Mem == nil {
-		sp.Mem = h.Mem
-		sp.InFrom = h.Contains
-		sp.SizeOf = h.SizeOf
-		sp.PtrOffsets = h.PointerOffsets
-		sp.Copy = h.CopyObjectSized
-	}
+	sp.Mem, sp.Descs = h.Mem, h.Descs
 	sp.SpanLo, sp.SpanHi = lo, hi
 	sp.ToBase = h.BeginCollection()
 	sp.Marks = &c.marks

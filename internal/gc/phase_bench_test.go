@@ -54,17 +54,77 @@ func buildBenchWorld(tb testing.TB) *benchWorld {
 	w.root = w.addrs[0]
 	lo, hi := h.FromSpan()
 	w.sp = CopySpace{
-		Mem:        mem,
-		SpanLo:     lo,
-		SpanHi:     hi,
-		InFrom:     h.Contains,
-		SizeOf:     h.SizeOf,
-		PtrOffsets: h.PointerOffsets,
-		Copy:       h.CopyObjectSized,
-		ToBase:     h.BeginCollection(),
-		Marks:      heap.NewMarkSet(lo, hi),
+		Mem:    mem,
+		Descs:  dt,
+		SpanLo: lo,
+		SpanHi: hi,
+		ToBase: h.BeginCollection(),
+		Marks:  heap.NewMarkSet(lo, hi),
 	}
 	return w
+}
+
+// wordSum is an order-sensitive checksum of a memory image.
+func wordSum(ws []int64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range ws {
+		h = (h ^ uint64(w)) * 1099511628211
+	}
+	return h
+}
+
+// evacuation is the benchmark world between the phases: its copy plan,
+// the from-space headers the copy overwrites, and the to-space
+// checksums a correct copy and fixup leave. Every object is live, so
+// the copy must reproduce the from-space image, and the fixup the same
+// image with every pointer field moved by ToBase-SpanLo.
+type evacuation struct {
+	plan          *copyPlan
+	toBase        int64
+	headers       []int64
+	copied, fixed uint64
+}
+
+// evacuate marks and assigns w and records what a correct copy and
+// fixup leave behind.
+func (w *benchWorld) evacuate(tb testing.TB) *evacuation {
+	w.mark(tb, 8)
+	sp := &w.sp
+	e := &evacuation{plan: assignPhase(sp), toBase: sp.ToBase}
+	from := sp.Mem[sp.SpanLo:sp.SpanHi]
+	e.copied = wordSum(from)
+	fixed := append([]int64(nil), from...)
+	for _, a := range e.plan.from {
+		for _, off := range sp.Descs.PointerOffsets(sp.Mem, a, nil) {
+			if v := fixed[a-sp.SpanLo+off]; v != 0 {
+				fixed[a-sp.SpanLo+off] = v - sp.SpanLo + sp.ToBase
+			}
+		}
+	}
+	e.fixed = wordSum(fixed)
+	for _, a := range e.plan.from {
+		e.headers = append(e.headers, sp.Mem[a])
+	}
+	return e
+}
+
+// to is the to-space image the plan fills.
+func (e *evacuation) to(w *benchWorld) []int64 {
+	return w.sp.Mem[e.toBase : e.toBase+e.plan.total]
+}
+
+// check fails tb unless the to-space holds want and every from-space
+// header is the forwarding word to its object's copy.
+func (e *evacuation) check(tb testing.TB, w *benchWorld, phase string, want uint64) {
+	tb.Helper()
+	if got := wordSum(e.to(w)); got != want {
+		tb.Fatalf("%s: to-space checksum %#x, want %#x", phase, got, want)
+	}
+	for i, a := range e.plan.from {
+		if fw := w.sp.Mem[a]; fw != -(e.plan.to[i] + 1) {
+			tb.Fatalf("%s: header of %d reads %d, want the forwarding word %d", phase, a, fw, -(e.plan.to[i] + 1))
+		}
+	}
 }
 
 // mark runs the mark phase over a cleared bitmap and checks it found
@@ -115,25 +175,57 @@ func BenchmarkAssignPhase(b *testing.B) {
 
 // BenchmarkCopyPhase times the range-partitioned evacuation. Copying
 // destroys the from-space headers (forwarding words), so each
-// iteration restores them off the clock.
+// iteration restores them off the clock. The to-space starts cleared
+// and is checked, with the forwarding words, after the last iteration,
+// so a broken copy fails here rather than only running fast.
 func BenchmarkCopyPhase(b *testing.B) {
 	w := buildBenchWorld(b)
-	w.mark(b, 8)
-	plan := assignPhase(&w.sp)
-	headers := make([]int64, len(plan.from))
-	for i, a := range plan.from {
-		headers[i] = w.sp.Mem[a]
-	}
+	e := w.evacuate(b)
 	for _, workers := range benchWidths() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(plan.total * heap.WordBytes)
+			b.SetBytes(e.plan.total * heap.WordBytes)
+			clear(e.to(w))
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for j, a := range plan.from {
-					w.sp.Mem[a] = headers[j]
+				for j, a := range e.plan.from {
+					w.sp.Mem[a] = e.headers[j]
 				}
 				b.StartTimer()
 				runChunks(&w.sp, workers, (*CopySpace).copyRange)
+			}
+			b.StopTimer()
+			e.check(b, w, "copy", e.copied)
+		})
+	}
+}
+
+// BenchmarkFixupPhase times the pointer translation over the to-space
+// copies and the root slot. Each iteration restores the copied,
+// untranslated to-space and the root off the clock; the last
+// iteration's to-space must read the from-space image with every
+// pointer moved to its copy, and the root must point at the first copy.
+func BenchmarkFixupPhase(b *testing.B) {
+	w := buildBenchWorld(b)
+	e := w.evacuate(b)
+	runChunks(&w.sp, 1, (*CopySpace).copyRange)
+	e.check(b, w, "copy", e.copied)
+	copied := append([]int64(nil), e.to(w)...)
+	for _, workers := range benchWidths() {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(e.plan.total * heap.WordBytes)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(e.to(w), copied)
+				w.root = w.addrs[0]
+				b.StartTimer()
+				if err := fixupPhase([]*int64{&w.root}, &w.sp, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			e.check(b, w, "fixup", e.fixed)
+			if w.root != e.toBase {
+				b.Fatalf("fixup: root reads %d, want %d", w.root, e.toBase)
 			}
 		})
 	}

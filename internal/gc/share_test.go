@@ -65,14 +65,11 @@ func (w *shareWorld) collect(t *testing.T, workers int) (gc.TraceStats, uint64) 
 		slots[i] = &w.roots[i]
 	}
 	sp := &gc.CopySpace{
-		Mem:        h.Mem,
-		SpanLo:     lo,
-		SpanHi:     hi,
-		InFrom:     h.Contains,
-		SizeOf:     h.SizeOf,
-		PtrOffsets: h.PointerOffsets,
-		Copy:       h.CopyObjectSized,
-		ToBase:     h.BeginCollection(),
+		Mem:    h.Mem,
+		Descs:  h.Descs,
+		SpanLo: lo,
+		SpanHi: hi,
+		ToBase: h.BeginCollection(),
 	}
 	st, err := gc.TraceCopy(slots, sp, workers)
 	if err != nil {

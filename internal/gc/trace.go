@@ -27,6 +27,12 @@
 //	        copies through the forwarding words; root slots are
 //	        patched serially (they may alias across frames)
 //
+// The engine reads object layout itself, from the descriptor table
+// the headers index (types.DescTable.SizeAt and PointerOffsets, the one
+// definition every heap shares), and decides what moves by address
+// alone (CopySpace.InFrom): no phase calls back into the heap, so a
+// pointer field costs a compare, not an indirect call.
+//
 // Because placement is canonical, a collection at any worker count —
 // including 1 — produces an identical heap image, identical forwarding
 // decisions, and identical survivor counts. The full collector (gc.go)
@@ -42,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/heap"
+	"repro/internal/types"
 )
 
 // DefaultTraceWorkers, when positive, overrides the width of the
@@ -75,11 +82,9 @@ const (
 	minWordsPerWorker = 1 << 16
 )
 
-// CopySpace describes one moving collection to the engine: the
-// from-space being evacuated, the object-layout callbacks, and where
-// the survivors go. All callbacks must be safe for concurrent readers
-// (they are pure address arithmetic over Mem and the descriptor
-// table).
+// CopySpace describes one moving collection to the engine: the memory
+// and descriptor table the objects live in, the span being evacuated,
+// and where the survivors go.
 //
 // It also carries the engine's scratch — gray stack, copy plan, the
 // marker's hand-off state — so a collector that keeps one CopySpace and
@@ -88,33 +93,26 @@ const (
 type CopySpace struct {
 	// Mem is the machine memory the spaces live in.
 	Mem []int64
-	// SpanLo/SpanHi bound every address InFrom can accept; the mark
-	// bitmap covers [SpanLo, SpanHi).
+	// Descs is the descriptor table object headers index: the engine
+	// reads every size and pointer slot from it.
+	Descs *types.DescTable
+	// SpanLo/SpanHi bound the from-space: every object the collection
+	// moves lies in [SpanLo, SpanHi), and the mark bitmap covers it.
+	// The span may be wider than where objects are (up to a concurrent
+	// cycle's allocation limit) as long as no pointer value falls in
+	// the slack, and it may contain the copy target, which InFrom
+	// excludes.
 	SpanLo, SpanHi int64
-	// InFrom reports whether addr is a movable from-space object. It
-	// must be a pure address-range test: it is consulted during fixup,
-	// after from-space headers have been overwritten with forwarding
-	// words.
-	InFrom func(addr int64) bool
-	// SizeOf returns the total word size of the object at addr (valid
-	// only while its header is intact, i.e. before the copy phase).
-	SizeOf func(addr int64) int64
-	// PtrOffsets appends the pointer-field offsets of the object at
-	// addr (valid on from-space objects before copy, and on to-space
-	// copies afterwards).
-	PtrOffsets func(addr int64, out []int64) []int64
-	// Copy moves size words from a from-space object to its assigned
-	// to-space address and installs the forwarding word -(to+1) in the
-	// old header.
-	Copy func(from, to, size int64)
 	// ToBase is the first free to-space address.
 	ToBase int64
 	// ToLimit, when nonzero, bounds the to-space: if the survivors'
 	// total footprint would run past it, the collection aborts with an
-	// error before the copy phase touches memory. The semispace
-	// collector never needs it (from- and to-space are the same size),
-	// but the generational heap funnels nursery + old survivors into
-	// one old semispace, which a large enough live set can overflow.
+	// error before the copy phase touches memory, and InFrom excludes
+	// [ToBase, ToLimit). The semispace collector leaves it zero (from-
+	// and to-space are disjoint and the same size), but the
+	// generational heap funnels nursery + old survivors into one old
+	// semispace, which a large enough live set can overflow and which a
+	// major's span contains after a flip.
 	ToLimit int64
 	// Marks is the set of live objects, covering [SpanLo, SpanHi):
 	// TraceCopy fills it (and allocates one when nil — pass a recycled
@@ -129,6 +127,17 @@ type CopySpace struct {
 	gray   markWorker // the calling goroutine's; helpers bring their own
 	plan   copyPlan
 	fixErr atomic.Pointer[error]
+}
+
+// InFrom is the engine's from-set rule: v is an object this collection
+// moves when SpanLo <= v < SpanHi and v lies outside the copy target
+// [ToBase, ToLimit). It is pure address arithmetic, so it holds in
+// fixup too, after from-space headers have become forwarding words;
+// and a root slot already patched to its to-space copy reads as
+// not-from, which keeps root fixup idempotent where the target lies
+// inside the span.
+func (sp *CopySpace) InFrom(v int64) bool {
+	return v >= sp.SpanLo && v < sp.SpanHi && (v < sp.ToBase || v >= sp.ToLimit)
 }
 
 // TraceStats reports what one engine run did, phase by phase.
@@ -196,6 +205,14 @@ func FinishCopy(roots []*int64, sp *CopySpace, workers int) (TraceStats, error) 
 	st.Copy = time.Since(t0)
 
 	t0 = time.Now()
+	err := fixupPhase(roots, sp, workers)
+	st.Fixup = time.Since(t0)
+	return st, err
+}
+
+// fixupPhase translates the pointer fields of every to-space copy, then
+// the root slots, through the forwarding words the copy phase left.
+func fixupPhase(roots []*int64, sp *CopySpace, workers int) error {
 	sp.fixErr.Store(nil)
 	runChunks(sp, workers, (*CopySpace).fixupRange)
 	// Root slots may alias (the same callee-save slot reconstructed
@@ -207,36 +224,39 @@ func FinishCopy(roots []*int64, sp *CopySpace, workers int) (TraceStats, error) 
 			*p = -sp.Mem[v] - 1
 		}
 	}
-	st.Fixup = time.Since(t0)
 	if e := sp.fixErr.Load(); e != nil {
-		return st, *e
+		return *e
 	}
-	return st, nil
+	return nil
 }
 
-// copyRange evacuates plan entries [lo, hi).
+// copyRange evacuates plan entries [lo, hi): each object's words move
+// to its assigned address and its old header becomes the forwarding
+// word -(to+1).
 func (sp *CopySpace) copyRange(_ *markWorker, lo, hi int) {
-	plan := &sp.plan
+	plan, mem := &sp.plan, sp.Mem
 	for i := lo; i < hi; i++ {
-		sp.Copy(plan.from[i], plan.to[i], plan.size[i])
+		from, to, size := plan.from[i], plan.to[i], plan.size[i]
+		copy(mem[to:to+size], mem[from:from+size])
+		mem[from] = -(to + 1)
 	}
 }
 
 // fixupRange translates the pointer fields of the to-space copies of
 // plan entries [lo, hi) through the forwarding words.
 func (sp *CopySpace) fixupRange(w *markWorker, lo, hi int) {
-	plan := &sp.plan
+	plan, mem := &sp.plan, sp.Mem
 	offs := w.offs
 	defer func() { w.offs = offs }()
 	for i := lo; i < hi; i++ {
 		to := plan.to[i]
-		offs = sp.PtrOffsets(to, offs[:0])
+		offs = sp.Descs.PointerOffsets(mem, to, offs[:0])
 		for _, off := range offs {
-			v := sp.Mem[to+off]
+			v := mem[to+off]
 			if v == 0 || !sp.InFrom(v) {
 				continue
 			}
-			hd := sp.Mem[v]
+			hd := mem[v]
 			if hd >= 0 {
 				// Reachable from a marked object yet never marked:
 				// an engine invariant violation, not a user error.
@@ -244,7 +264,7 @@ func (sp *CopySpace) fixupRange(w *markWorker, lo, hi int) {
 				sp.fixErr.Store(&err)
 				return
 			}
-			sp.Mem[to+off] = -hd - 1
+			mem[to+off] = -hd - 1
 		}
 	}
 }
@@ -274,7 +294,7 @@ func assignPhase(sp *CopySpace) *copyPlan {
 	plan.from = sp.Marks.AppendTo(plan.from[:0])
 	plan.size, plan.to, plan.total = plan.size[:n], plan.to[:n], 0
 	for i, a := range plan.from {
-		s := sp.SizeOf(a)
+		s := sp.Descs.SizeAt(sp.Mem, a)
 		plan.size[i] = s
 		plan.to[i] = sp.ToBase + plan.total
 		plan.total += s
@@ -429,7 +449,7 @@ func (e *marker) run(w *markWorker, shared bool) {
 		}
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		offs = sp.PtrOffsets(a, offs[:0])
+		offs = sp.Descs.PointerOffsets(sp.Mem, a, offs[:0])
 		for _, off := range offs {
 			v := sp.Mem[a+off]
 			if v == 0 {

@@ -94,31 +94,11 @@ func (h *Heap) Contains(addr int64) bool {
 	return h.InNursery(addr) || h.InOld(addr)
 }
 
-func (h *Heap) sizeFor(descID int, n int64) (int64, bool) {
-	d := h.Descs.Get(descID)
-	if d.Kind == types.DescOpenArray {
-		if n < 0 {
-			return 0, false
-		}
-		return 2 + n*d.ElemWords, true
-	}
-	return 1 + d.DataWords, true
-}
-
-// SizeOf returns the total word size of the object at addr.
-func (h *Heap) SizeOf(addr int64) int64 {
-	d := h.Descs.Get(int(h.Mem[addr]))
-	if d.Kind == types.DescOpenArray {
-		return 2 + h.Mem[addr+1]*d.ElemWords
-	}
-	return 1 + d.DataWords
-}
-
 // TryAlloc implements vmachine.Allocator: bump allocation in the
 // nursery; objects larger than half the nursery go directly to the old
 // space (pretenuring).
 func (h *Heap) TryAlloc(descID int, n int64) (int64, bool) {
-	size, ok := h.sizeFor(descID, n)
+	size, ok := h.Descs.Get(descID).AllocWords(n)
 	if !ok {
 		return 0, false
 	}
@@ -155,14 +135,6 @@ func (h *Heap) initObject(addr int64, descID int, n int64) {
 	}
 }
 
-// copyObjectSized is the range-copy primitive handed to the parallel
-// trace-copy engine: workers own disjoint objects and destination
-// ranges, so no shared state is touched.
-func (h *Heap) copyObjectSized(addr, to, size int64) {
-	copy(h.Mem[to:to+size], h.Mem[addr:addr+size])
-	h.Mem[addr] = -(to + 1)
-}
-
 // resetNursery zeroes and empties the nursery after a collection.
 func (h *Heap) resetNursery() {
 	clear(h.Mem[h.Lo:h.nurseryAlloc])
@@ -170,30 +142,11 @@ func (h *Heap) resetNursery() {
 }
 
 // inFrom reports whether v is movable by a major collection: a young
-// object, or one in the current old space.
+// object, or one in the current old space. The engine decides by
+// address (gc.CopySpace.InFrom over the major's span); this is the
+// heap's own view, which the Debug root check applies.
 func (h *Heap) inFrom(v int64) bool {
 	return h.InNursery(v) || (v >= h.oldFrom && v < h.oldAlloc)
-}
-
-// PointerOffsets appends the pointer-field offsets of the object at
-// addr.
-func (h *Heap) PointerOffsets(addr int64, out []int64) []int64 {
-	d := h.Descs.Get(int(h.Mem[addr]))
-	switch d.Kind {
-	case types.DescOpenArray:
-		n := h.Mem[addr+1]
-		for i := int64(0); i < n; i++ {
-			base := 2 + i*d.ElemWords
-			for _, off := range d.ElemPtrOffsets {
-				out = append(out, base+off)
-			}
-		}
-	default:
-		for _, off := range d.PtrOffsets {
-			out = append(out, 1+off)
-		}
-	}
-	return out
 }
 
 // Collector is the generational collector. It implements
@@ -432,18 +385,6 @@ func (c *Collector) remsetSlots() []int64 {
 	return c.slots
 }
 
-// bindSpace fills in the parts of a CopySpace that never change. Callers
-// do it once per space (sp.Mem == nil): a method value allocates each
-// time it is taken.
-func (c *Collector) bindSpace(sp *gc.CopySpace, inFrom func(int64) bool) {
-	h := c.Heap
-	sp.Mem = h.Mem
-	sp.InFrom = inFrom
-	sp.SizeOf = h.SizeOf
-	sp.PtrOffsets = h.PointerOffsets
-	sp.Copy = h.copyObjectSized
-}
-
 // minor promotes all live young objects into the old space through the
 // deterministic trace-copy engine: reachable nursery objects are
 // marked from the precise roots and the remembered slots, assigned
@@ -456,9 +397,7 @@ func (c *Collector) minor(m *vmachine.Machine) (gc.TraceStats, error) {
 	c.Minor++
 	h := c.Heap
 	sp := &c.minorSpace
-	if sp.Mem == nil {
-		c.bindSpace(sp, h.InNursery)
-	}
+	sp.Mem, sp.Descs = h.Mem, h.Descs
 	sp.SpanLo, sp.SpanHi = h.Lo, h.nurseryAlloc
 	sp.ToBase, sp.ToLimit = h.oldAlloc, h.oldFrom+h.oldSemi
 	c.marks.Reset(h.Lo, h.nurseryAlloc)
@@ -477,13 +416,13 @@ func (c *Collector) minor(m *vmachine.Machine) (gc.TraceStats, error) {
 }
 
 // majorCopySpace aims the major collection's CopySpace at the span
-// [Lo, hi) of both generations and the other old semispace.
+// [Lo, hi) of both generations and the other old semispace. After an
+// odd number of flips that span contains the copy target, which the
+// engine's from-set rule excludes.
 func (c *Collector) majorCopySpace(hi int64) *gc.CopySpace {
 	h := c.Heap
 	sp := &c.majorSpace
-	if sp.Mem == nil {
-		c.bindSpace(sp, h.inFrom)
-	}
+	sp.Mem, sp.Descs = h.Mem, h.Descs
 	sp.SpanLo, sp.SpanHi = h.Lo, hi
 	sp.ToBase, sp.ToLimit = h.oldTo, h.oldTo+h.oldSemi
 	sp.Marks = &c.marks

@@ -113,6 +113,52 @@ func TestMinorAllocs(t *testing.T) {
 	}
 }
 
+// TestMajorAllocs pins the allocation-free stop-the-world major at
+// serial width: under a 120-frame stack, once the collector's arenas
+// have grown, a major escalation walks every frame, marks both
+// generations, copies into the other old semispace and flips without a
+// single Go allocation.
+func TestMajorAllocs(t *testing.T) {
+	const depth = 120
+	var allocs float64
+	var majors, minors int64
+	done := false
+	m := deepGen(t, depth, false, func(c *gengc.Collector) vmachine.Collector {
+		return collectorFunc(func(m *vmachine.Machine) error {
+			if done {
+				return c.Collect(m)
+			}
+			done = true
+			var first error
+			collect := func() {
+				c.Heap.ForceMajor()
+				if err := c.Collect(m); err != nil && first == nil {
+					first = err
+				}
+			}
+			for i := 0; i < 3; i++ {
+				collect()
+			}
+			majorBefore, minorBefore := c.Major, c.Minor
+			allocs = testing.AllocsPerRun(50, collect)
+			majors, minors = c.Major-majorBefore, c.Minor-minorBefore
+			return first
+		})
+	})
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		t.Fatal("the forced collection never ran")
+	}
+	if majors != 51 || minors != 0 {
+		t.Fatalf("measured %d majors and %d minors, want 51 majors and no minor", majors, minors)
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per steady-state major, want 0", allocs)
+	}
+}
+
 // TestConcurrentMajorAllocs pins the allocation-free concurrent major at
 // serial width: under a 120-frame stack, once the collector's arenas
 // have grown, a whole cycle — StartCycle, every MarkStep, FinishCycle —

@@ -6,10 +6,11 @@
 //	records / fixed arrays: [header][payload ...]
 //	open arrays:            [header][length][elements ...]
 //
-// The header of a live object holds its descriptor ID (>= 0). During a
-// collection, a copied object's old header is overwritten with the
-// forwarding word -(newAddr+1) (< 0), which is how the collector
-// recognizes already-moved objects.
+// types/desc.go defines each shape's size and pointer slots, for this
+// heap and every collector alike. The header of a live object holds
+// its descriptor ID (>= 0). During a collection, a copied object's old
+// header is overwritten with the forwarding word -(newAddr+1) (< 0),
+// which is how the collector recognizes already-moved objects.
 package heap
 
 import (
@@ -91,20 +92,6 @@ func NewQuota(mem []int64, lo, hi int64, descs *types.DescTable, quotaWords int6
 // budget; equals the semispace size when uncapped).
 func (h *Heap) Quota() int64 { return h.quota }
 
-// allocSize returns the word size an allocation with the given
-// descriptor and element count would occupy, or ok=false for a
-// negative open-array length.
-func (h *Heap) allocSize(descID int, n int64) (int64, bool) {
-	d := h.Descs.Get(descID)
-	if d.Kind == types.DescOpenArray {
-		if n < 0 {
-			return 0, false
-		}
-		return 2 + n*d.ElemWords, true
-	}
-	return 1 + d.DataWords, true
-}
-
 // QuotaBlocked implements vmachine.QuotaChecker: it reports whether an
 // allocation that just failed was blocked by the per-instance quota
 // rather than by the semispace itself (i.e. it would have fit in the
@@ -113,21 +100,11 @@ func (h *Heap) QuotaBlocked(descID int, n int64) bool {
 	if h.quota >= h.semi {
 		return false
 	}
-	size, ok := h.allocSize(descID, n)
+	size, ok := h.Descs.Get(descID).AllocWords(n)
 	if !ok {
 		return false
 	}
 	return h.Alloc+size > h.Limit && h.Alloc+size <= h.FromLo+h.semi
-}
-
-// SizeOf returns the total word size (including header and length
-// words) of the object at addr.
-func (h *Heap) SizeOf(addr int64) int64 {
-	d := h.Descs.Get(int(h.Mem[addr]))
-	if d.Kind == types.DescOpenArray {
-		return 2 + h.Mem[addr+1]*d.ElemWords
-	}
-	return 1 + d.DataWords
 }
 
 // TryAlloc allocates an object with the given descriptor, returning its
@@ -136,7 +113,7 @@ func (h *Heap) SizeOf(addr int64) int64 {
 // is already zeroed.
 func (h *Heap) TryAlloc(descID int, n int64) (addr int64, ok bool) {
 	d := h.Descs.Get(descID)
-	size, ok := h.allocSize(descID, n)
+	size, ok := d.AllocWords(n)
 	if !ok {
 		return 0, false
 	}
@@ -211,46 +188,15 @@ func (h *Heap) AllocatedBytes() int64 { return h.AllocatedWords * WordBytes }
 // LiveBytes returns the bytes currently in use in allocation space.
 func (h *Heap) LiveBytes() int64 { return h.LiveWords() * WordBytes }
 
-// BeginCollection prepares the copy space and returns its base; the
-// collector copies objects with CopyObject and finishes with
+// BeginCollection returns the base of the copy space: the collector
+// copies the survivors there (installing a forwarding word in each old
+// header), credits them with AddCopied and flips with
 // FinishCollection.
 func (h *Heap) BeginCollection() int64 {
 	return h.ToLo
 }
 
-// Forwarded returns the new address of an already-copied object, or
-// -1 if the object has not been copied.
-func (h *Heap) Forwarded(addr int64) int64 {
-	if hd := h.Mem[addr]; hd < 0 {
-		return -hd - 1
-	}
-	return -1
-}
-
-// CopyObject copies the object at addr to the copy space at to,
-// installs the forwarding word, and returns the object's new address
-// and the next free copy-space position.
-func (h *Heap) CopyObject(addr, to int64) (newAddr, next int64) {
-	size := h.SizeOf(addr)
-	copy(h.Mem[to:to+size], h.Mem[addr:addr+size])
-	h.Mem[addr] = -(to + 1)
-	h.copiedObjects++
-	return to, to + size
-}
-
-// CopyObjectSized is the range-copy primitive for parallel collection
-// workers: it copies size words from addr to the copy space at to and
-// installs the forwarding word, but does not touch the survivor
-// counter — concurrent workers own disjoint objects and disjoint
-// destination ranges, so the only shared state would be the counter.
-// The orchestrator accounts all survivors at once with AddCopied.
-func (h *Heap) CopyObjectSized(addr, to, size int64) {
-	copy(h.Mem[to:to+size], h.Mem[addr:addr+size])
-	h.Mem[addr] = -(to + 1)
-}
-
-// AddCopied credits n survivors of the in-progress collection (the
-// CopyObjectSized counterpart of CopyObject's built-in accounting).
+// AddCopied credits n survivors of the in-progress collection.
 func (h *Heap) AddCopied(n int64) { h.copiedObjects += n }
 
 // FromSpan returns the address range of the current allocation space
@@ -372,27 +318,6 @@ func (h *Heap) FinishCollection(copyEnd int64) {
 	h.copiedObjects = 0
 }
 
-// PointerOffsets appends to out the word offsets (relative to the
-// object's tidy address) of the pointer fields of the object at addr.
-func (h *Heap) PointerOffsets(addr int64, out []int64) []int64 {
-	d := h.Descs.Get(int(h.Mem[addr]))
-	switch d.Kind {
-	case types.DescOpenArray:
-		n := h.Mem[addr+1]
-		for i := int64(0); i < n; i++ {
-			base := 2 + i*d.ElemWords
-			for _, off := range d.ElemPtrOffsets {
-				out = append(out, base+off)
-			}
-		}
-	default:
-		for _, off := range d.PtrOffsets {
-			out = append(out, 1+off)
-		}
-	}
-	return out
-}
-
 // Check validates basic heap invariants (headers in range, sizes within
 // the allocation space, and the free remainder [Alloc, Limit) all zero —
 // what the allocators' zeroed-memory contract and FinishCollection's
@@ -403,7 +328,7 @@ func (h *Heap) Check() error {
 		if hd < 0 || int(hd) >= h.Descs.Len() {
 			return fmt.Errorf("heap: bad header %d at %d", hd, addr)
 		}
-		size := h.SizeOf(addr)
+		size := h.Descs.SizeAt(h.Mem, addr)
 		if size <= 0 || addr+size > h.Alloc {
 			return fmt.Errorf("heap: object at %d has size %d beyond alloc %d", addr, size, h.Alloc)
 		}

@@ -16,6 +16,18 @@ func testHeap(t *testing.T, words int64) (*Heap, *types.DescTable) {
 	return New(mem, 64, 64+words, dt), dt
 }
 
+// evacuate copies the object at addr to the copy space at to the way
+// the collector's copy phase does (payload moved, forwarding word
+// -(to+1) in the old header), credits the survivor, and returns the
+// next free copy-space address.
+func evacuate(h *Heap, addr, to int64) int64 {
+	size := h.Descs.SizeAt(h.Mem, addr)
+	copy(h.Mem[to:to+size], h.Mem[addr:addr+size])
+	h.Mem[addr] = -(to + 1)
+	h.AddCopied(1)
+	return to + size
+}
+
 func TestAllocLayout(t *testing.T) {
 	h, dt := testHeap(t, 256)
 	recID := dt.Intern(types.NewRecord([]types.Field{
@@ -31,8 +43,8 @@ func TestAllocLayout(t *testing.T) {
 	if h.Mem[r] != int64(recID) {
 		t.Errorf("header %d", h.Mem[r])
 	}
-	if h.SizeOf(r) != 3 {
-		t.Errorf("record size %d, want 3", h.SizeOf(r))
+	if s := h.Descs.SizeAt(h.Mem, r); s != 3 {
+		t.Errorf("record size %d, want 3", s)
 	}
 
 	a, ok := h.TryAlloc(arrID, 5)
@@ -42,8 +54,8 @@ func TestAllocLayout(t *testing.T) {
 	if h.Mem[a+1] != 5 {
 		t.Errorf("length word %d", h.Mem[a+1])
 	}
-	if h.SizeOf(a) != 7 {
-		t.Errorf("array size %d, want 7", h.SizeOf(a))
+	if s := h.Descs.SizeAt(h.Mem, a); s != 7 {
+		t.Errorf("array size %d, want 7", s)
 	}
 	if a != r+3 {
 		t.Errorf("bump allocation not contiguous: %d then %d", r, a)
@@ -92,23 +104,23 @@ func TestCopyAndForward(t *testing.T) {
 	h.Mem[r+1] = 42
 	h.Mem[r+2] = 43
 
-	to := h.BeginCollection()
-	if h.Forwarded(r) >= 0 {
+	na := h.BeginCollection()
+	if h.Mem[r] < 0 {
 		t.Fatal("object forwarded before copy")
 	}
-	na, next := h.CopyObject(r, to)
-	if na != to || next != to+3 {
-		t.Errorf("copy returned %d,%d", na, next)
+	next := evacuate(h, r, na)
+	if next != na+3 {
+		t.Errorf("copy ended at %d, want %d", next, na+3)
 	}
 	if h.Mem[na+1] != 42 || h.Mem[na+2] != 43 {
 		t.Error("payload not copied")
 	}
-	if f := h.Forwarded(r); f != na {
+	if f := -h.Mem[r] - 1; f != na {
 		t.Errorf("forwarding %d, want %d", f, na)
 	}
 	h.FinishCollection(next)
-	if h.Collections != 1 {
-		t.Errorf("collections %d", h.Collections)
+	if h.Collections != 1 || h.LiveObjects != 1 {
+		t.Errorf("collections %d, live objects %d, want 1 and 1", h.Collections, h.LiveObjects)
 	}
 	// The new allocation space starts after the copied data, zeroed.
 	a2, ok := h.TryAlloc(recID, 0)
@@ -129,12 +141,12 @@ func TestPointerOffsetsHelpers(t *testing.T) {
 	arrID := dt.Intern(types.NewOpenArray(types.NewRef(types.IntType)))
 
 	r, _ := h.TryAlloc(listID, 0)
-	offs := h.PointerOffsets(r, nil)
+	offs := dt.PointerOffsets(h.Mem, r, nil)
 	if len(offs) != 1 || offs[0] != 2 {
 		t.Errorf("record pointer offsets %v, want [2]", offs)
 	}
 	a, _ := h.TryAlloc(arrID, 3)
-	offs = h.PointerOffsets(a, nil)
+	offs = dt.PointerOffsets(h.Mem, a, nil)
 	if len(offs) != 3 || offs[0] != 2 || offs[2] != 4 {
 		t.Errorf("array pointer offsets %v, want [2 3 4]", offs)
 	}
@@ -182,7 +194,7 @@ func TestCumulativeCounters(t *testing.T) {
 	to := h.BeginCollection()
 	next := to
 	for _, a := range addrs[:2] {
-		_, next = h.CopyObject(a, next)
+		next = evacuate(h, a, next)
 	}
 	h.FinishCollection(next)
 	if h.Collections != 1 {
@@ -444,7 +456,7 @@ func (w *flipWorld) collect(keep int) {
 	}
 	next := h.BeginCollection()
 	for i, a := range w.live[:keep] {
-		w.live[i], next = h.CopyObject(a, next)
+		w.live[i], next = next, evacuate(h, a, next)
 	}
 	w.live = w.live[:keep]
 	h.FinishCollection(next)

@@ -46,6 +46,55 @@ func (d *Desc) HasPointers() bool {
 	return len(d.PtrOffsets) > 0 || len(d.ElemPtrOffsets) > 0
 }
 
+// Words returns the total word size, header and length word included,
+// of an object of this shape holding n open-array elements (n is
+// ignored for the other shapes). Words, SizeAt and
+// DescTable.PointerOffsets are the one definition of the layout above
+// that every heap and collector reads.
+func (d *Desc) Words(n int64) int64 {
+	if d.Kind == DescOpenArray {
+		return 2 + n*d.ElemWords
+	}
+	return 1 + d.DataWords
+}
+
+// AllocWords is Words for a new object: ok is false for a negative
+// open-array length.
+func (d *Desc) AllocWords(n int64) (words int64, ok bool) {
+	return d.Words(n), n >= 0 || d.Kind != DescOpenArray
+}
+
+// SizeAt returns the total word size of the object whose header is
+// mem[addr] (valid while that header holds a descriptor ID).
+func (dt *DescTable) SizeAt(mem []int64, addr int64) int64 {
+	d := dt.Descs[mem[addr]]
+	var n int64
+	if d.Kind == DescOpenArray {
+		n = mem[addr+1]
+	}
+	return d.Words(n)
+}
+
+// PointerOffsets appends to out the word offsets, relative to addr, of
+// the pointer slots of the object whose header is mem[addr].
+func (dt *DescTable) PointerOffsets(mem []int64, addr int64, out []int64) []int64 {
+	d := dt.Descs[mem[addr]]
+	if d.Kind != DescOpenArray {
+		for _, off := range d.PtrOffsets {
+			out = append(out, 1+off)
+		}
+		return out
+	}
+	n := mem[addr+1]
+	for i := int64(0); i < n; i++ {
+		base := 2 + i*d.ElemWords
+		for _, off := range d.ElemPtrOffsets {
+			out = append(out, base+off)
+		}
+	}
+	return out
+}
+
 // DescTable interns runtime descriptors for referent types. Structurally
 // equal referents share a descriptor, mirroring typereg's registration
 // of canonical type codes.

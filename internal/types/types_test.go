@@ -2,6 +2,7 @@ package types
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,58 @@ func TestDescFixedArray(t *testing.T) {
 	d := dt.Get(id)
 	if d.Kind != DescFixedArray || d.DataWords != 4 || len(d.PtrOffsets) != 4 {
 		t.Errorf("fixed array descriptor wrong: %+v", d)
+	}
+}
+
+// TestObjectLayout covers the layout rule the heaps and collectors
+// share: sizes of each shape from the descriptor alone and from an
+// object in memory, the pointer slots of each, and the refusal of a
+// negative open-array length.
+func TestObjectLayout(t *testing.T) {
+	dt := NewDescTable()
+	ref := NewRef(IntType)
+	rec := dt.Intern(NewRecord([]Field{{Name: "a", Type: IntType}, {Name: "p", Type: ref}}))
+	fixed := dt.Intern(NewFixedArray(0, 2, ref))
+	open := dt.Intern(NewOpenArray(NewRecord([]Field{{Name: "n", Type: IntType}, {Name: "q", Type: ref}})))
+	scalar := dt.Intern(IntType)
+
+	mem := make([]int64, 32)
+	objs := []struct {
+		id          int
+		n           int64
+		words       int64
+		ptrSlots    []int64
+		description string
+	}{
+		{rec, 0, 3, []int64{2}, "record"},
+		{fixed, 0, 4, []int64{1, 2, 3}, "fixed array"},
+		{open, 3, 8, []int64{3, 5, 7}, "open array of two-word records"},
+		{open, 0, 2, nil, "empty open array"},
+		{scalar, 0, 2, nil, "scalar referent"},
+	}
+	addr := int64(1)
+	for _, o := range objs {
+		d := dt.Get(o.id)
+		if w, ok := d.AllocWords(o.n); !ok || w != o.words || d.Words(o.n) != o.words {
+			t.Errorf("%s: AllocWords %d, %v and Words %d, want %d", o.description, w, ok, d.Words(o.n), o.words)
+		}
+		mem[addr] = int64(o.id)
+		if d.Kind == DescOpenArray {
+			mem[addr+1] = o.n
+		}
+		if w := dt.SizeAt(mem, addr); w != o.words {
+			t.Errorf("%s: SizeAt %d, want %d", o.description, w, o.words)
+		}
+		if got := dt.PointerOffsets(mem, addr, nil); !slices.Equal(got, o.ptrSlots) {
+			t.Errorf("%s: pointer slots %v, want %v", o.description, got, o.ptrSlots)
+		}
+		addr += o.words
+	}
+	if _, ok := dt.Get(open).AllocWords(-1); ok {
+		t.Error("a negative open-array length was accepted")
+	}
+	if _, ok := dt.Get(rec).AllocWords(-1); !ok {
+		t.Error("a record allocation was refused for its ignored length")
 	}
 }
 

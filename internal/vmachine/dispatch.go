@@ -133,7 +133,7 @@ func NewDispatchTable(p *Program) *DispatchTable {
 			if in.Desc >= 0 && in.Desc < p.Descs.Len() {
 				d := p.Descs.Get(in.Desc)
 				if in.Op == OpNewRec && d.Kind != types.DescOpenArray && d.DataWords < 1<<30 {
-					e.arg = int32(1 + d.DataWords)
+					e.arg = int32(d.Words(0))
 				} else if in.Op == OpNewArr && d.Kind == types.DescOpenArray && d.ElemWords < 1<<30 {
 					e.arg = int32(d.ElemWords)
 				}
