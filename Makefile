@@ -18,7 +18,8 @@ check: fmt vet lint build test-all race allocs
 # The sweep runs 40 seeds over the whole differential matrix, whose
 # cells all carry the heap-liveness on/off dimension; the load drive is
 # mixed run/resume traffic through the multi-tenant server; the Phase
-# microbenchmarks exercise the collector's per-phase timers.
+# microbenchmarks time the stack walk and the trace-copy phases once
+# each, checking what each one leaves.
 check-full: check fuzz-smoke bench-check cover
 	$(GO) run ./cmd/difffuzz -n 40 -seed 7 -out artifacts/difffuzz-heaplive
 	$(GO) run ./cmd/gcserve -load -duration 2s
@@ -43,9 +44,10 @@ lint:
 build:
 	$(GO) build ./...
 
-# Race slice: the concurrent subsystems — the decode cache and parallel
-# stack walker (gctab, gc), the mark bitmap the trace workers race on
-# (heap), the generational collector that walks through them (gengc),
+# Race slice: the concurrent subsystems — the decode cache that many
+# collectors walk through at once (gctab), the trace-copy pool (gc),
+# the mark bitmap the trace workers race on (heap), the generational
+# collector that walks and traces through them (gengc),
 # the telemetry tracer they all feed, and what many goroutines share at
 # serving time: the per-program dispatch table (vmachine, driver) and
 # the tenant scheduler with its slice-boundary stat rows (gcserve).
@@ -53,6 +55,7 @@ race:
 	$(GO) test -race ./internal/telemetry/... ./internal/heap/... ./internal/gc/... ./internal/gctab/... ./internal/gengc/... ./internal/vmachine/... ./internal/driver/... ./internal/gcserve/...
 
 # The allocation guards in one command. A steady-state collection (gc),
+# one that walks four threads' stacks at the default widths included,
 # a steady-state minor and major, stop-the-world and concurrent
 # (gengc), a scheduler slice with its stat-row update (gcserve), and a
 # slow-path allocation that collects (vmachine) must not allocate; a
@@ -87,7 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz '^FuzzProgram$$' -fuzztime $(FUZZTIME) ./internal/difftest/
 
-# Differential sweep: the full collector × scheme × cache × workers
+# Differential sweep: the full collector × scheme × cache × trace-width
 # matrix over 200 generated programs; writes reduced reproducers on
 # failure. Slower than fuzz-smoke — a pre-release gate, not per-push.
 diff-smoke:

@@ -2,7 +2,8 @@
 // over a range of seeds: each generated program is compiled once per
 // encoding scheme and executed under every cell of the
 // {gc, gengc, conservative} × {8 schemes} × {cache on/off} ×
-// {workers 1/8} matrix, with program output, collection counts, final
+// {trace workers 1/8} × {heaplive, dispatch, concurrent marking on/off}
+// matrix, with program output, collection counts, final
 // heap images, strict table verification, and decode-cache
 // transparency all diffed. Any disagreement is reduced to a minimal
 // reproducer and written to -out for triage (and, once fixed, for

@@ -10,10 +10,7 @@
 package conservative
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/heap"
@@ -43,13 +40,6 @@ type Heap struct {
 
 	objects []object // sorted by addr
 	free    []span   // sorted by addr, coalesced
-
-	// ScanWorkers bounds the ambiguous-root scan pool (0 = GOMAXPROCS,
-	// 1 = serial). Candidate discovery is read-only, so chunks (globals
-	// plus one per live thread) scan concurrently; their hit lists are
-	// merged in chunk order, so the mark order — and everything
-	// downstream — matches the serial scan exactly.
-	ScanWorkers int
 
 	Collections    int64
 	MarkedObjects  int64
@@ -191,17 +181,20 @@ func (h *Heap) Collect(m *vmachine.Machine) error {
 		}
 	}
 
-	// Ambiguous roots: all global words, all live stack words, all
-	// registers of every live thread. Candidate discovery only binary
-	// searches the (frozen) object table, so the chunks scan in
-	// parallel; marking from the merged lists below recreates the
-	// serial order.
-	for _, hits := range h.scanRoots(m) {
-		for _, i := range hits {
-			if !h.objects[i].mark {
-				h.objects[i].mark = true
-				stack = append(stack, i)
-			}
+	// Ambiguous roots: all global words, then each live thread's stack
+	// words and registers.
+	for off := int64(0); off < m.Prog.GlobalWords; off++ {
+		markWord(m.Mem[m.GlobalBase+off])
+	}
+	for _, t := range m.Threads {
+		if t.Done {
+			continue
+		}
+		for a := t.SP; a < t.StackHi; a++ {
+			markWord(m.Mem[a])
+		}
+		for _, r := range t.Regs {
+			markWord(r)
 		}
 	}
 
@@ -269,73 +262,6 @@ func (h *Heap) Collect(m *vmachine.Machine) error {
 		h.gCollections.Set(h.Collections)
 	}
 	return nil
-}
-
-// scanRoots finds the objects the ambiguous roots point at: chunk 0 is
-// the globals, chunk 1+i thread i's stack words and registers. Each
-// chunk's hit list is in word order and the chunks come back in fixed
-// order, independent of the pool width.
-func (h *Heap) scanRoots(m *vmachine.Machine) [][]int {
-	var live []*vmachine.Thread
-	for _, t := range m.Threads {
-		if !t.Done {
-			live = append(live, t)
-		}
-	}
-	chunks := make([][]int, 1+len(live))
-	scanOne := func(ci int) {
-		var out []int
-		collect := func(v int64) {
-			if i := h.findObject(v); i >= 0 {
-				out = append(out, i)
-			}
-		}
-		if ci == 0 {
-			for off := int64(0); off < m.Prog.GlobalWords; off++ {
-				collect(m.Mem[m.GlobalBase+off])
-			}
-		} else {
-			t := live[ci-1]
-			for a := t.SP; a < t.StackHi; a++ {
-				collect(m.Mem[a])
-			}
-			for r := 0; r < 16; r++ {
-				collect(t.Regs[r])
-			}
-		}
-		chunks[ci] = out
-	}
-
-	workers := h.ScanWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if workers <= 1 {
-		for ci := range chunks {
-			scanOne(ci)
-		}
-		return chunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= len(chunks) {
-					return
-				}
-				scanOne(ci)
-			}
-		}()
-	}
-	wg.Wait()
-	return chunks
 }
 
 // LiveWords reports the words currently held by allocated objects.

@@ -40,7 +40,6 @@ type Cell struct {
 	Collector string // CollectorGC, CollectorGen, or CollectorConservative
 	Scheme    gctab.Scheme
 	Cache     bool // walk stacks through the memoizing decoder
-	Workers   int  // stack-walk / root-scan worker pool width
 	// TraceWorkers is the precise collectors' trace-copy pool width
 	// (mark, copy, fixup). Conservative cells ignore it (mark-sweep has
 	// no copy phase); the matrix only varies it for gc and gengc.
@@ -71,8 +70,8 @@ type Cell struct {
 }
 
 func (c Cell) String() string {
-	return fmt.Sprintf("%s/%s/cache=%v/workers=%d/tw=%d/heaplive=%v/threaded=%v/conc=%v",
-		c.Collector, c.Scheme, c.Cache, c.Workers, c.TraceWorkers, c.HeapLive, c.Threaded, c.Concurrent)
+	return fmt.Sprintf("%s/%s/cache=%v/tw=%d/heaplive=%v/threaded=%v/conc=%v",
+		c.Collector, c.Scheme, c.Cache, c.TraceWorkers, c.HeapLive, c.Threaded, c.Concurrent)
 }
 
 // traceWidthsFor returns the trace-copy pool widths the matrix explores
@@ -86,8 +85,8 @@ func traceWidthsFor(collector string) []int {
 	return []int{1, 8}
 }
 
-// Matrix returns the full {collector × scheme × cache × workers ×
-// trace-workers × heaplive × dispatch × concurrent} product over the
+// Matrix returns the full {collector × scheme × cache × trace-workers ×
+// heaplive × dispatch × concurrent} product over the
 // given schemes (AllSchemes when nil).
 func Matrix(schemes []gctab.Scheme) []Cell {
 	if schemes == nil {
@@ -97,15 +96,13 @@ func Matrix(schemes []gctab.Scheme) []Cell {
 	for _, col := range allCollectors {
 		for _, s := range schemes {
 			for _, cache := range []bool{false, true} {
-				for _, workers := range []int{1, 8} {
-					for _, tw := range traceWidthsFor(col) {
-						for _, hl := range []bool{false, true} {
-							for _, th := range []bool{false, true} {
-								for _, conc := range []bool{false, true} {
-									cells = append(cells, Cell{Collector: col, Scheme: s,
-										Cache: cache, Workers: workers, TraceWorkers: tw,
-										HeapLive: hl, Threaded: th, Concurrent: conc})
-								}
+				for _, tw := range traceWidthsFor(col) {
+					for _, hl := range []bool{false, true} {
+						for _, th := range []bool{false, true} {
+							for _, conc := range []bool{false, true} {
+								cells = append(cells, Cell{Collector: col, Scheme: s,
+									Cache: cache, TraceWorkers: tw,
+									HeapLive: hl, Threaded: th, Concurrent: conc})
 							}
 						}
 					}
@@ -407,7 +404,6 @@ func runCell(c *driver.Compiled, cell Cell, maxSteps int64) (r cellResult) {
 		Encoded: c.Encoded,
 	}
 	cc.Opts.DecodeCache = cell.Cache
-	cc.Opts.WalkWorkers = cell.Workers
 	cc.Opts.TraceWorkers = cell.TraceWorkers
 	cc.Opts.ThreadedDispatch = cell.Threaded
 	// No recompile needed: every difftest compile is Generational, so

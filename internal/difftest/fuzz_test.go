@@ -75,12 +75,15 @@ func FuzzProgram(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(222))
 	f.Add(int64(-7))
+	f.Add(int64(2))
+	f.Add(int64(57))
+	f.Add(int64(1 << 40))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := RunSeed(seed, Config{
 			Schemes: []gctab.Scheme{gctab.DeltaPP},
 			Cells: []Cell{
-				{Collector: CollectorGC, Scheme: gctab.DeltaPP, Workers: 1},
-				{Collector: CollectorGen, Scheme: gctab.DeltaPP, Cache: true, Workers: 8},
+				{Collector: CollectorGC, Scheme: gctab.DeltaPP},
+				{Collector: CollectorGen, Scheme: gctab.DeltaPP, Cache: true, TraceWorkers: 8},
 			},
 			MaxSteps: 10_000_000,
 		})

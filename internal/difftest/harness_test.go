@@ -14,7 +14,7 @@ func TestMatrixShape(t *testing.T) {
 	// no copy phase and runs {1} only. Every cell doubles across the
 	// heaplive compile dimension, again across switch/threaded dispatch,
 	// and again across synchronous/concurrent marking.
-	if want := (2*8*2*2*2 + 1*8*2*2*1) * 2 * 2 * 2; len(cells) != want {
+	if want := (2*8*2*2 + 1*8*2*1) * 2 * 2 * 2; len(cells) != want {
 		t.Fatalf("full matrix has %d cells, want %d", len(cells), want)
 	}
 	seen := map[string]bool{}
@@ -27,14 +27,14 @@ func TestMatrixShape(t *testing.T) {
 }
 
 // A slice of real seeds through a reduced matrix (two schemes, all
-// collectors, cache and worker variation) must produce zero findings:
-// scheme, cache, and workers are behaviorally invisible, all three
-// collectors print the reference output, and the strict verifier
-// passes every compile. The 300-seed full-matrix sweep lives in
+// collectors, cache and trace-width variation) must produce zero
+// findings: scheme, cache, and trace width are behaviorally invisible,
+// all three collectors print the reference output, and the strict
+// verifier passes every compile. The 300-seed full-matrix sweep lives in
 // cmd/difffuzz; this is the in-tree smoke slice of it.
 func TestDifferentialSeedsClean(t *testing.T) {
 	schemes := []gctab.Scheme{gctab.DeltaPP, {Full: true}}
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 12; seed++ {
 		r := RunSeed(seed, Config{Schemes: schemes})
 		if !r.OK() {
 			for _, f := range r.Findings {
@@ -42,7 +42,7 @@ func TestDifferentialSeedsClean(t *testing.T) {
 			}
 			t.Fatalf("seed %d: %d findings\n%s", seed, len(r.Findings), r.Program)
 		}
-		if want := (2*2 + 1) * len(schemes) * 2 * 2 * 2 * 2 * 2; r.Cells != want {
+		if want := (2*2 + 1) * len(schemes) * 2 * 2 * 2 * 2; r.Cells != want {
 			t.Fatalf("seed %d: ran %d cells, want %d", seed, r.Cells, want)
 		}
 	}
@@ -77,8 +77,8 @@ func TestTelemetryCounters(t *testing.T) {
 	r := RunSeed(2, Config{
 		Schemes: []gctab.Scheme{gctab.DeltaPP},
 		Cells: []Cell{
-			{Collector: CollectorGC, Scheme: gctab.DeltaPP, Workers: 1},
-			{Collector: CollectorGen, Scheme: gctab.DeltaPP, Cache: true, Workers: 8},
+			{Collector: CollectorGC, Scheme: gctab.DeltaPP},
+			{Collector: CollectorGen, Scheme: gctab.DeltaPP, Cache: true, TraceWorkers: 8},
 		},
 		Tel: tel,
 	})

@@ -221,7 +221,7 @@ func KernelCells() []Cell {
 				for _, conc := range []bool{false, true} {
 					cells = append(cells, Cell{
 						Collector: col, Scheme: DefaultKernelScheme,
-						Cache: true, Workers: 1, TraceWorkers: tw,
+						Cache: true, TraceWorkers: tw,
 						HeapLive: true, Threaded: th, Concurrent: conc,
 					})
 				}
@@ -230,7 +230,7 @@ func KernelCells() []Cell {
 	}
 	cells = append(cells, Cell{
 		Collector: CollectorConservative, Scheme: DefaultKernelScheme,
-		Cache: true, Workers: 1, TraceWorkers: 1, HeapLive: true,
+		Cache: true, TraceWorkers: 1, HeapLive: true,
 	})
 	return cells
 }

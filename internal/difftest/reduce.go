@@ -75,19 +75,17 @@ func FailsLike(f Finding, cfg Config) func(string) bool {
 		narrow.Cells = []Cell{}
 	case KindDeterminism:
 		// Determinism is judged within a {collector, heaplive} group:
-		// keep the whole {cache × workers × trace-workers × dispatch ×
-		// concurrent} slice of the failing collector at the failing
-		// cell's HeapLive setting.
+		// keep the whole {cache × trace-workers × dispatch × concurrent}
+		// slice of the failing collector at the failing cell's HeapLive
+		// setting.
 		var cells []Cell
 		for _, cache := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				for _, tw := range traceWidthsFor(f.Cell.Collector) {
-					for _, th := range []bool{false, true} {
-						for _, conc := range []bool{false, true} {
-							cells = append(cells, Cell{Collector: f.Cell.Collector, Scheme: f.Cell.Scheme,
-								Cache: cache, Workers: workers, TraceWorkers: tw,
-								HeapLive: f.Cell.HeapLive, Threaded: th, Concurrent: conc})
-						}
+			for _, tw := range traceWidthsFor(f.Cell.Collector) {
+				for _, th := range []bool{false, true} {
+					for _, conc := range []bool{false, true} {
+						cells = append(cells, Cell{Collector: f.Cell.Collector, Scheme: f.Cell.Scheme,
+							Cache: cache, TraceWorkers: tw,
+							HeapLive: f.Cell.HeapLive, Threaded: th, Concurrent: conc})
 					}
 				}
 			}
@@ -126,14 +124,15 @@ type Regression struct {
 // Threaded, and Concurrent are omitted when zero/false so sidecars
 // written before those dimensions existed replay unchanged (0 = the
 // collector's default width, false = the pass/dispatcher/marker off,
-// matching the old behavior).
+// matching the old behavior). Sidecars written while cells had a
+// stack-walk width carry a "workers" key; the walk is serial now, so
+// decoding ignores it.
 type CellSpec struct {
 	Collector    string `json:"collector"`
 	Full         bool   `json:"full"`
 	Packing      bool   `json:"packing"`
 	Previous     bool   `json:"previous"`
 	Cache        bool   `json:"cache"`
-	Workers      int    `json:"workers"`
 	TraceWorkers int    `json:"trace_workers,omitempty"`
 	HeapLive     bool   `json:"heap_live,omitempty"`
 	Threaded     bool   `json:"threaded,omitempty"`
@@ -143,7 +142,7 @@ type CellSpec struct {
 // Spec converts a Cell for serialization.
 func (c Cell) Spec() CellSpec {
 	return CellSpec{Collector: c.Collector, Full: c.Scheme.Full, Packing: c.Scheme.Packing,
-		Previous: c.Scheme.Previous, Cache: c.Cache, Workers: c.Workers,
+		Previous: c.Scheme.Previous, Cache: c.Cache,
 		TraceWorkers: c.TraceWorkers, HeapLive: c.HeapLive, Threaded: c.Threaded,
 		Concurrent: c.Concurrent}
 }
@@ -152,7 +151,7 @@ func (c Cell) Spec() CellSpec {
 func (s CellSpec) Cell() Cell {
 	return Cell{Collector: s.Collector,
 		Scheme: gctab.Scheme{Full: s.Full, Packing: s.Packing, Previous: s.Previous},
-		Cache:  s.Cache, Workers: s.Workers, TraceWorkers: s.TraceWorkers,
+		Cache:  s.Cache, TraceWorkers: s.TraceWorkers,
 		HeapLive: s.HeapLive, Threaded: s.Threaded, Concurrent: s.Concurrent}
 }
 

@@ -67,7 +67,7 @@ func TestWriteReadRegression(t *testing.T) {
 	f := Finding{
 		Seed:    99,
 		Kind:    KindOutput,
-		Cell:    Cell{Collector: CollectorGen, Scheme: gctab.DeltaPP, Cache: true, Workers: 8},
+		Cell:    Cell{Collector: CollectorGen, Scheme: gctab.DeltaPP, Cache: true, TraceWorkers: 8},
 		Detail:  "output mismatch",
 		Corrupt: &Corruption{Off: 5, Mask: 0x80},
 	}

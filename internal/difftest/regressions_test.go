@@ -60,11 +60,9 @@ func replayConfig(kind Kind, cell Cell) Config {
 		cfg.Cells = []Cell{}
 	case KindDeterminism:
 		for _, cache := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				for _, tw := range traceWidthsFor(cell.Collector) {
-					cfg.Cells = append(cfg.Cells, Cell{Collector: cell.Collector,
-						Scheme: cell.Scheme, Cache: cache, Workers: workers, TraceWorkers: tw})
-				}
+			for _, tw := range traceWidthsFor(cell.Collector) {
+				cfg.Cells = append(cfg.Cells, Cell{Collector: cell.Collector,
+					Scheme: cell.Scheme, Cache: cache, TraceWorkers: tw})
 			}
 		}
 	default:

@@ -72,14 +72,12 @@ type Options struct {
 	// behaviorally invisible: identical heap contents, outputs, and
 	// errors either way.
 	DecodeCache bool
-	// WalkWorkers bounds the collectors' stack-walk worker pool and the
-	// conservative heap's root-scan pool (0 = one worker per available
-	// CPU, 1 = serial). Results are deterministic at any width.
-	WalkWorkers int
 	// TraceWorkers bounds the precise collectors' trace-copy worker pool
 	// — parallel mark, copy, and pointer fixup (0 = one worker per
 	// available CPU, 1 = serial). Placement is canonical, so the heap
-	// image is bitwise identical at any width.
+	// image is bitwise identical at any width. It is the only pool a
+	// collection runs: stacks are walked, and the conservative heap's
+	// roots scanned, serially.
 	TraceWorkers int
 	// ThreadedDispatch (default in NewOptions) runs machines on the
 	// vmachine dispatch table — superblock runs with one scheduler check
@@ -246,7 +244,6 @@ func (c *Compiled) NewMachineWithDecoder(cfg vmachine.Config, dec gctab.TableDec
 	h := heap.NewQuota(m.Mem, m.HeapLo, m.HeapHi, c.Prog.Descs, cfg.HeapQuota)
 	h.MemOwner = m.MemOwner()
 	col := gc.NewWith(h, dec)
-	col.WalkWorkers = c.Opts.WalkWorkers
 	col.TraceWorkers = c.Opts.TraceWorkers
 	col.Concurrent = c.Opts.ConcurrentMark
 	col.SetTracer(cfg.Tel)
@@ -284,7 +281,6 @@ func (c *Compiled) NewGenerationalMachineWithDecoder(cfg vmachine.Config, dec gc
 	h := gengc.NewHeap(m.Mem, m.HeapLo, m.HeapHi, c.Prog.Descs)
 	h.MemOwner = m.MemOwner()
 	col := gengc.NewWith(h, dec)
-	col.WalkWorkers = c.Opts.WalkWorkers
 	col.TraceWorkers = c.Opts.TraceWorkers
 	col.Concurrent = c.Opts.ConcurrentMark
 	col.SetTracer(cfg.Tel)
@@ -304,7 +300,6 @@ func (c *Compiled) NewConservativeMachine(cfg vmachine.Config) (*vmachine.Machin
 	m := vmachine.New(c.Prog, cfg)
 	h := conservative.New(m.Mem, m.HeapLo, m.HeapHi, c.Prog.Descs)
 	h.MemOwner = m.MemOwner()
-	h.ScanWorkers = c.Opts.WalkWorkers
 	h.SetTracer(cfg.Tel)
 	m.Alloc = h
 	m.Collector = h

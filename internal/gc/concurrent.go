@@ -69,11 +69,11 @@ type CycleHost interface {
 
 // CycleEnv is a collector as one pause of its cycle sees it.
 type CycleEnv struct {
-	// Walk, Dec and the two worker counts walk the stacks, as in the
-	// collector's stop-the-world path.
-	Walk                      *Walk
-	Dec                       gctab.TableDecoder
-	WalkWorkers, TraceWorkers int
+	// Walk and Dec walk the stacks, and TraceWorkers sizes the copy
+	// tail, as in the collector's stop-the-world path.
+	Walk         *Walk
+	Dec          gctab.TableDecoder
+	TraceWorkers int
 	// Space is the CopySpace the collector hands FinishCopy, aimed at
 	// the mark span [SpanLo, SpanHi): every address a black allocation
 	// can claim before the flip, not just the allocation watermark. The
@@ -172,7 +172,7 @@ func (cy *Cycle) Start(m *vmachine.Machine, host CycleHost) error {
 
 	sp := env.Space
 	sp.Marks.Reset(sp.SpanLo, sp.SpanHi)
-	walkTime, err := cy.WalkStacks(m, env.Walk, env.Dec, env.WalkWorkers, env.TraceWorkers, false)
+	walkTime, err := cy.WalkStacks(m, env.Walk, env.Dec, false)
 	if err != nil {
 		return err
 	}
@@ -210,14 +210,14 @@ func (cy *Cycle) Start(m *vmachine.Machine, host CycleHost) error {
 // values too when adjust is set (every pause but a cycle's initial
 // one), and books the walk to FramesTraced and StackTraceTime. Both
 // collectors' pauses walk through it.
-func (cy *Cycle) WalkStacks(m *vmachine.Machine, w *Walk, dec gctab.TableDecoder, walkWorkers, traceWorkers int, adjust bool) (time.Duration, error) {
+func (cy *Cycle) WalkStacks(m *vmachine.Machine, w *Walk, dec gctab.TableDecoder, adjust bool) (time.Duration, error) {
 	start := time.Now()
-	if err := w.Machine(m, dec, walkWorkers); err != nil {
+	if err := w.Machine(m, dec); err != nil {
 		return 0, err
 	}
 	cy.FramesTraced += int64(w.NumFrames())
 	if adjust {
-		if err := w.AdjustDerived(m, traceWorkers); err != nil {
+		if err := w.AdjustDerived(); err != nil {
 			return 0, err
 		}
 	}
@@ -326,7 +326,7 @@ func (cy *Cycle) Finish(m *vmachine.Machine, host CycleHost) error {
 	// left if the machine rendezvoused before marking finished (forced
 	// collections, allocation failure mid-cycle).
 	cy.mark(-1)
-	walkTime, err := cy.WalkStacks(m, env.Walk, env.Dec, env.WalkWorkers, env.TraceWorkers, true)
+	walkTime, err := cy.WalkStacks(m, env.Walk, env.Dec, true)
 	if err != nil {
 		return err
 	}
@@ -344,7 +344,7 @@ func (cy *Cycle) Finish(m *vmachine.Machine, host CycleHost) error {
 	if err != nil {
 		return err
 	}
-	env.Walk.RederiveAll(m, env.TraceWorkers)
+	env.Walk.RederiveAll()
 
 	m.SATB, m.AllocMark = nil, nil
 	cy.sp = nil

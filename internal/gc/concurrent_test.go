@@ -694,7 +694,7 @@ func TestConcurrentFinalPauseCatchesUnmarkedRoot(t *testing.T) {
 		}
 		words, objects, collections = col.WordsCopied, col.ObjectsCopied, col.Collections
 		var w gc.Walk
-		if err := w.Machine(m, col.Dec, 1); err != nil {
+		if err := w.Machine(m, col.Dec); err != nil {
 			t.Fatal(err)
 		}
 		hidden := false

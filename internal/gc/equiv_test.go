@@ -56,7 +56,7 @@ type equivRecorder struct {
 }
 
 func (r *equivRecorder) Collect(m *vmachine.Machine) error {
-	if err := r.walk.Machine(m, r.real.Dec, r.real.WalkWorkers); err != nil {
+	if err := r.walk.Machine(m, r.real.Dec); err != nil {
 		return err
 	}
 	r.frames = append(r.frames, r.walk.String())

@@ -16,7 +16,7 @@ import (
 func rootValues(t *testing.T, m *vmachine.Machine, dec gctab.TableDecoder, out []int64) []int64 {
 	t.Helper()
 	var w gc.Walk
-	if err := w.Machine(m, dec, 1); err != nil {
+	if err := w.Machine(m, dec); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range w.Roots(m, nil) {

@@ -34,17 +34,15 @@ const (
 	ModeNull                  // do nothing (timing baseline)
 )
 
-// Collector is the precise compacting collector.
+// Collector is the precise compacting collector. A pause walks every
+// live thread's stack serially, one outward sweep per thread (Walk),
+// and hands the roots to the trace-copy engine, which runs on a pool
+// of TraceWorkers.
 type Collector struct {
 	Heap  *heap.Heap
 	Dec   gctab.TableDecoder
 	Mode  Mode
 	Debug bool // verify roots and heap invariants
-
-	// WalkWorkers bounds the stack-walk worker pool (0 = GOMAXPROCS at
-	// the time of the walk, unless DefaultWalkWorkers overrides it; 1 =
-	// serial). The walk result is deterministic at any width.
-	WalkWorkers int
 
 	// TraceWorkers bounds the collection worker pool that marks,
 	// copies, and patches the heap (trace.go): 0 = GOMAXPROCS at the
@@ -193,7 +191,7 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 			c.Heap.LiveBytes(), c.Heap.AllocatedBytes(), c.Heap.Collections)
 	}
 
-	walkTime, err := c.WalkStacks(m, &c.walk, c.Dec, c.WalkWorkers, c.TraceWorkers, true)
+	walkTime, err := c.WalkStacks(m, &c.walk, c.Dec, true)
 	if err != nil {
 		return err
 	}
@@ -204,7 +202,7 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 			return err
 		}
 	}
-	c.walk.RederiveAll(m, c.TraceWorkers)
+	c.walk.RederiveAll()
 
 	if p.Tel != nil {
 		nFrames, nDeriv := int64(c.walk.NumFrames()), int64(c.walk.NumDerivs())
@@ -263,7 +261,7 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error { return c.Finish(m, 
 func (c *Collector) CycleEnv() CycleEnv {
 	h := c.Heap
 	return CycleEnv{
-		Walk: &c.walk, Dec: c.Dec, WalkWorkers: c.WalkWorkers, TraceWorkers: c.TraceWorkers,
+		Walk: &c.walk, Dec: c.Dec, TraceWorkers: c.TraceWorkers,
 		Space: c.copySpace(h.FromLo, h.Limit),
 		Heap:  h, Kind: telemetry.GCFull, Count: h.Collections, Probes: &c.probe,
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/gctab"
 	"repro/internal/vmachine"
@@ -19,175 +17,104 @@ type Frame struct {
 	PC     int
 	FP, SP int64
 	Prog   *gctab.FrameProgram
-
-	regs  int32 // this frame's register file in ThreadWalk.regs
-	deriv int32 // its first entry in ThreadWalk.derivs
 }
 
-// regFile says where each hard register's value lives while a frame is
-// suspended, without holding a pointer: a word index into Machine.Mem
-// (a callee's save slot), or ^r for the thread's own register r.
-type regFile [16]int64
-
-// derivState is what phase 1 of the derived-value protocol leaves for
-// phase 2: the adjusted value E and the variant the path variable chose.
-type derivState struct {
-	e       int64
-	variant int32
-}
-
-// ThreadWalk is one live thread's walked stack. Frames of one thread
-// may alias storage (a callee-save slot reconstructed into several
-// register files); frames of different threads never do, which is what
-// lets the walk and the derived-value phases run whole threads in
-// parallel.
+// ThreadWalk is one live thread's walked stack.
 type ThreadWalk struct {
 	T      *vmachine.Thread
 	Frames []Frame // innermost first
-
-	// regs[0] is the thread's own registers; each frame whose callee
-	// saved registers gets a copy with those redirected to the save
-	// slots, and every other frame shares its callee's.
-	regs   []regFile
-	derivs []derivState
 }
 
-// Walk is a collector's stack-walk state: per live thread, in
-// m.Threads order, the frames, reconstructed register files and
-// derived-value scratch of the current pause, plus the root buffer. It
-// starts empty, grows to the deepest stacks it has met, and is reused
-// at every pause, so a steady-state walk allocates nothing. The zero
-// value is ready to use.
+// derivation is one derived value of the current pause with its table
+// slots resolved to the words they name in that frame: the target, the
+// path variable (nil when unambiguous), and every variant's bases, in
+// Walk.bases from first on, variant v ending at Walk.ends[end+v].
+// AdjustDerived records the adjusted value E and the chosen variant's
+// bases [lo, hi) for RederiveAll.
+type derivation struct {
+	target, sel *int64
+	n           int32
+	first, end  int32
+	lo, hi      int32
+	e           int64
+}
+
+// base is one resolved base of a derivation variant.
+type base struct {
+	at   *int64
+	sign int64
+}
+
+// Walk is a collector's stack-walk state for the current pause: per
+// live thread, in m.Threads order, the frames; the root buffer; and
+// the derivations with their slots resolved. It starts empty, grows to
+// the deepest stacks it has met, and is reused at every pause, so a
+// steady-state walk allocates nothing. The zero value is ready to use.
 type Walk struct {
 	Threads []ThreadWalk
-	roots   []*int64
+
+	// roots holds the global pointer slots, then each frame's root
+	// slots in walk order; the first fixed entries are the walk's, and
+	// Roots appends its extra slots after them.
+	roots []*int64
+	fixed int
+
+	// derivs are in adjust order: threads in walk order, callee frames
+	// before callers, table order within a frame (a derived value before
+	// its bases). adjusted is how many AdjustDerived has adjusted.
+	derivs   []derivation
+	bases    []base
+	ends     []int32
+	adjusted int
 }
 
-// DefaultWalkWorkers, when positive, overrides the width of the
-// stack-walk worker pool for callers that do not pick one (workers <=
-// 0). Zero asks the runtime at each walk: walking is CPU-bound, so
-// GOMAXPROCS is the natural cap, and a host may change it after this
-// package is initialised.
-var DefaultWalkWorkers = 0
-
-// Machine walks every live thread's stack, innermost frame first,
-// reconstructing per-frame register files from the callee-save maps,
-// and replaces whatever the Walk held. workers <= 0 means
-// DefaultWalkWorkers, 1 forces the serial walk. A pool worker walks
-// whole threads into their own slabs through its own forked decoder
-// handle, so frame order, decode results, and the first error reported
-// (the lowest-indexed failing thread's) are all deterministic
-// regardless of width.
-func (w *Walk) Machine(m *vmachine.Machine, dec gctab.TableDecoder, workers int) error {
+// Machine walks every live thread's stack in one outward sweep,
+// innermost frame first, and replaces whatever the Walk held. The sweep
+// keeps where each hard register lives while the current frame is
+// suspended — the thread's register, or the save slot of the nearest
+// callee that spilled it — moving a register to its save slot at each
+// frame that saved it. Each frame's root slots go straight into the
+// root buffer and its derivations' slots are resolved to addresses, so
+// Roots, AdjustDerived and RederiveAll never revisit a frame. The walk
+// itself writes nothing, so an error leaves every derived value
+// unadjusted.
+func (w *Walk) Machine(m *vmachine.Machine, dec gctab.TableDecoder) error {
 	w.Threads = w.Threads[:0]
+	w.derivs, w.bases, w.ends, w.adjusted = w.derivs[:0], w.bases[:0], w.ends[:0], 0
+	w.roots, w.fixed = w.roots[:0], 0
+	for _, off := range m.Prog.GlobalPtrOffs {
+		w.roots = append(w.roots, &m.Mem[m.GlobalBase+off])
+	}
 	for _, t := range m.Threads {
 		if t.Done {
 			continue
 		}
 		// Re-slicing (not appending a zero value) keeps the slab's
-		// buffers from the last pause.
+		// frame buffer from the last pause.
 		n := len(w.Threads)
 		if n < cap(w.Threads) {
 			w.Threads = w.Threads[:n+1]
 		} else {
 			w.Threads = append(w.Threads, ThreadWalk{})
 		}
-		w.Threads[n].T = t
-	}
-	if workers = w.width(workers, DefaultWalkWorkers); workers <= 1 {
-		for i := range w.Threads {
-			if err := w.Threads[i].walk(m, dec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	decs := make([]gctab.TableDecoder, workers)
-	for k := range decs {
-		decs[k] = dec.Fork()
-	}
-	return w.pooled(workers, func(k int, tw *ThreadWalk) error { return tw.walk(m, decs[k]) })
-}
-
-// width resolves a pool width against the number of walked threads.
-func (w *Walk) width(workers, override int) int {
-	if workers = poolWidth(workers, override); workers > len(w.Threads) {
-		workers = len(w.Threads)
-	}
-	return workers
-}
-
-// pooled runs fn over every thread slab on a pool of the given width,
-// telling it which worker it runs on, and returns the lowest-indexed
-// thread's error.
-func (w *Walk) pooled(workers int, fn func(worker int, tw *ThreadWalk) error) error {
-	errs := make([]error, len(w.Threads))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(w.Threads) {
-					return
-				}
-				errs[i] = fn(k, &w.Threads[i])
-			}
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		tw := &w.Threads[n]
+		tw.T = t
+		if err := w.sweep(m, dec, tw); err != nil {
 			return err
 		}
 	}
+	w.fixed = len(w.roots)
 	return nil
 }
 
-// NumFrames returns the number of frames the last walk found.
-func (w *Walk) NumFrames() int {
-	n := 0
-	for i := range w.Threads {
-		n += len(w.Threads[i].Frames)
-	}
-	return n
-}
-
-// NumDerivs returns the number of derived values AdjustDerived adjusted
-// (and RederiveAll re-derives) in the current pause.
-func (w *Walk) NumDerivs() int {
-	n := 0
-	for i := range w.Threads {
-		n += len(w.Threads[i].derivs)
-	}
-	return n
-}
-
-// String lists the walked frames as "proc@pc fp=… sp=…;" in walk order:
-// a signature two walks of one machine state can be compared by.
-func (w *Walk) String() string {
-	var b strings.Builder
-	for i := range w.Threads {
-		for _, f := range w.Threads[i].Frames {
-			fmt.Fprintf(&b, "%s@%d fp=%d sp=%d;", f.Prog.View.ProcName, f.PC, f.FP, f.SP)
-		}
-	}
-	return b.String()
-}
-
-// walk follows t's saved-FP chain from its current gc-point.
-func (tw *ThreadWalk) walk(m *vmachine.Machine, dec gctab.TableDecoder) error {
+// sweep follows tw.T's saved-FP chain from its current gc-point.
+func (w *Walk) sweep(m *vmachine.Machine, dec gctab.TableDecoder, tw *ThreadWalk) error {
 	t := tw.T
-	tw.Frames, tw.derivs = tw.Frames[:0], tw.derivs[:0]
-	var own regFile
-	for r := range own {
-		own[r] = ^int64(r)
+	tw.Frames = tw.Frames[:0]
+	var live [16]*int64
+	for r := range live {
+		live[r] = &t.Regs[r]
 	}
-	tw.regs = append(tw.regs[:0], own)
-	cur := int32(0)
-
 	pc := t.CurrentGCPointPC(m.Prog)
 	fp, sp := t.FP, t.SP
 	for {
@@ -198,15 +125,23 @@ func (tw *ThreadWalk) walk(m *vmachine.Machine, dec gctab.TableDecoder) error {
 		if prog == nil {
 			return fmt.Errorf("gc: no tables for gc-point pc %d (thread %d)", pc, t.ID)
 		}
-		tw.Frames = append(tw.Frames, Frame{PC: pc, FP: fp, SP: sp, Prog: prog, regs: cur})
-		// Restore the caller's register view through this frame's
-		// callee-save slots.
-		if len(prog.Saves) > 0 {
-			tw.regs = append(tw.regs, tw.regs[cur])
-			cur = int32(len(tw.regs) - 1)
-			for _, sv := range prog.Saves {
-				tw.regs[cur][sv.Reg] = fp + int64(sv.Off)
-			}
+		tw.Frames = append(tw.Frames, Frame{PC: pc, FP: fp, SP: sp, Prog: prog})
+		for _, off := range prog.FPRoots {
+			w.roots = append(w.roots, &m.Mem[fp+int64(off)])
+		}
+		for _, off := range prog.SPRoots {
+			w.roots = append(w.roots, &m.Mem[sp+int64(off)])
+		}
+		for mask := prog.RegPtrs; mask != 0; mask &= mask - 1 {
+			w.roots = append(w.roots, live[bits.TrailingZeros16(mask)])
+		}
+		if len(prog.Derivs) > 0 {
+			w.resolve(m, prog, fp, sp, &live)
+		}
+		// The caller sees the registers this frame saved in its save
+		// slots.
+		for _, sv := range prog.Saves {
+			live[sv.Reg] = &m.Mem[fp+int64(sv.Off)]
 		}
 		savedFP := m.Mem[fp]
 		if savedFP == 0 {
@@ -226,143 +161,112 @@ func (tw *ThreadWalk) walk(m *vmachine.Machine, dec gctab.TableDecoder) error {
 	}
 }
 
-// ref resolves a register-file entry to the word it names.
-func (tw *ThreadWalk) ref(m *vmachine.Machine, at int64) *int64 {
-	if at < 0 {
-		return &tw.T.Regs[^at]
-	}
-	return &m.Mem[at]
-}
-
-// RegPtr returns where hard register r's value lives while f is
-// suspended: the thread's register, or the save slot of the nearest
-// callee that spilled it.
-func (tw *ThreadWalk) RegPtr(m *vmachine.Machine, f *Frame, r int) *int64 {
-	return tw.ref(m, tw.regs[f.regs][r])
-}
-
-// SlotPtr resolves a frame-program location against f.
-func (tw *ThreadWalk) SlotPtr(m *vmachine.Machine, f *Frame, s gctab.Slot) *int64 {
-	if r, ok := s.Reg(); ok {
-		return tw.RegPtr(m, f, r)
-	}
-	off, fromSP := s.Stack()
-	if fromSP {
-		return &m.Mem[f.SP+off]
-	}
-	return &m.Mem[f.FP+off]
-}
-
-// AdjustDerived is phase 1 of the derived-value protocol: walking callee
-// frames before callers and, within a frame, derived values before their
-// bases, it replaces each derived value by E = a − Σ sign·base. The §3
-// ordering constraint only binds within a thread, because frames of
-// different threads share no storage, so threads are batched over a
-// worker pool (workers <= 0 means the TraceCopy default, 1 is serial)
-// and the result is identical at any width.
-func (w *Walk) AdjustDerived(m *vmachine.Machine, workers int) error {
-	if workers = w.width(workers, DefaultTraceWorkers); workers <= 1 {
-		for i := range w.Threads {
-			if err := w.Threads[i].adjustDerived(m); err != nil {
-				return err
-			}
+// resolve appends prog's derivations, with their slots resolved
+// against the frame at fp/sp and the registers in live.
+func (w *Walk) resolve(m *vmachine.Machine, prog *gctab.FrameProgram, fp, sp int64, live *[16]*int64) {
+	at := func(s gctab.Slot) *int64 {
+		if r, ok := s.Reg(); ok {
+			return live[r]
 		}
-		return nil
+		off, fromSP := s.Stack()
+		if fromSP {
+			return &m.Mem[sp+off]
+		}
+		return &m.Mem[fp+off]
 	}
-	return w.pooled(workers, func(_ int, tw *ThreadWalk) error { return tw.adjustDerived(m) })
+	for di := range prog.Derivs {
+		op := &prog.Derivs[di]
+		d := derivation{target: at(op.Target), n: op.N, first: int32(len(w.bases)), end: int32(len(w.ends))}
+		if op.Sel != gctab.NoSlot {
+			d.sel = at(op.Sel)
+		}
+		for v := 0; v < int(op.N); v++ {
+			for _, b := range prog.Variant(op, v) {
+				w.bases = append(w.bases, base{at: at(b.Slot), sign: int64(b.Sign)})
+			}
+			w.ends = append(w.ends, int32(len(w.bases)))
+		}
+		w.derivs = append(w.derivs, d)
+	}
 }
 
-func (tw *ThreadWalk) adjustDerived(m *vmachine.Machine) error {
-	for fi := range tw.Frames {
-		f := &tw.Frames[fi]
-		p := f.Prog
-		f.deriv = int32(len(tw.derivs))
-		for di := range p.Derivs {
-			op := &p.Derivs[di]
-			v := 0
-			if op.Sel != gctab.NoSlot {
-				v = int(*tw.SlotPtr(m, f, op.Sel))
-				if v < 0 || v >= int(op.N) {
-					return fmt.Errorf("gc: path variable selects variant %d of %d", v, op.N)
-				}
-			}
-			target := tw.SlotPtr(m, f, op.Target)
-			e := *target
-			for _, b := range p.Variant(op, v) {
-				e -= int64(b.Sign) * *tw.SlotPtr(m, f, b.Slot)
-			}
-			*target = e
-			tw.derivs = append(tw.derivs, derivState{e: e, variant: int32(v)})
+// NumFrames returns the number of frames the last walk found.
+func (w *Walk) NumFrames() int {
+	n := 0
+	for i := range w.Threads {
+		n += len(w.Threads[i].Frames)
+	}
+	return n
+}
+
+// NumDerivs returns the number of derived values AdjustDerived adjusted
+// (and RederiveAll re-derives) in the current pause.
+func (w *Walk) NumDerivs() int { return w.adjusted }
+
+// String lists the walked frames as "proc@pc fp=… sp=…;" in walk order:
+// a signature two walks of one machine state can be compared by.
+func (w *Walk) String() string {
+	var b strings.Builder
+	for i := range w.Threads {
+		for _, f := range w.Threads[i].Frames {
+			fmt.Fprintf(&b, "%s@%d fp=%d sp=%d;", f.Prog.View.ProcName, f.PC, f.FP, f.SP)
 		}
 	}
+	return b.String()
+}
+
+// AdjustDerived is phase 1 of the derived-value protocol: callee frames
+// before callers and, within a frame, derived values before their
+// bases, it replaces each derived value by E = a − Σ sign·base, the
+// variant chosen by the path variable's value now.
+func (w *Walk) AdjustDerived() error {
+	for i := range w.derivs {
+		d := &w.derivs[i]
+		v := 0
+		if d.sel != nil {
+			v = int(*d.sel)
+			if v < 0 || v >= int(d.n) {
+				return fmt.Errorf("gc: path variable selects variant %d of %d", v, d.n)
+			}
+		}
+		d.lo, d.hi = d.first, w.ends[int(d.end)+v]
+		if v > 0 {
+			d.lo = w.ends[int(d.end)+v-1]
+		}
+		e := *d.target
+		for _, b := range w.bases[d.lo:d.hi] {
+			e -= b.sign * *b.at
+		}
+		*d.target, d.e = e, e
+	}
+	w.adjusted = len(w.derivs)
 	return nil
 }
 
 // RederiveAll is phase 2: in exactly the reverse order, recompute each
-// derived value from its (possibly moved) bases. Batched per thread
-// like AdjustDerived.
-func (w *Walk) RederiveAll(m *vmachine.Machine, workers int) {
-	if workers = w.width(workers, DefaultTraceWorkers); workers <= 1 {
-		for i := range w.Threads {
-			w.Threads[i].rederiveAll(m)
+// adjusted value from its (possibly moved) bases.
+func (w *Walk) RederiveAll() {
+	for i := w.adjusted - 1; i >= 0; i-- {
+		d := &w.derivs[i]
+		a := d.e
+		for _, b := range w.bases[d.lo:d.hi] {
+			a += b.sign * *b.at
 		}
-		return
-	}
-	w.pooled(workers, func(_ int, tw *ThreadWalk) error {
-		tw.rederiveAll(m)
-		return nil
-	})
-}
-
-func (tw *ThreadWalk) rederiveAll(m *vmachine.Machine) {
-	for fi := len(tw.Frames) - 1; fi >= 0; fi-- {
-		f := &tw.Frames[fi]
-		p := f.Prog
-		for di := len(p.Derivs) - 1; di >= 0; di-- {
-			op := &p.Derivs[di]
-			st := tw.derivs[int(f.deriv)+di]
-			a := st.e
-			for _, b := range p.Variant(op, int(st.variant)) {
-				a += int64(b.Sign) * *tw.SlotPtr(m, f, b.Slot)
-			}
-			*tw.SlotPtr(m, f, op.Target) = a
-		}
+		*d.target = a
 	}
 }
 
-// Roots gathers the address of every root slot — global pointer slots,
+// Roots returns the address of every root slot — global pointer slots,
 // then each frame's live stack slots and live pointer registers, then
-// the extra Mem words the caller names (a remembered set) — into the
-// Walk's buffer for the trace-copy engine. The list may contain aliases
-// (the same callee-save slot reconstructed into several frames); the
-// engine is alias-safe. It is valid until the Walk is next used.
+// the extra Mem words the caller names (a remembered set) — for the
+// trace-copy engine. The list may contain aliases (one callee-save slot
+// is where a register lives for several frames); the engine is
+// alias-safe. Each call replaces the previous call's extra slots; the
+// list is valid until the Walk is next used.
 func (w *Walk) Roots(m *vmachine.Machine, extra []int64) []*int64 {
-	roots := w.roots[:0]
-	for _, off := range m.Prog.GlobalPtrOffs {
-		roots = append(roots, &m.Mem[m.GlobalBase+off])
-	}
-	for ti := range w.Threads {
-		tw := &w.Threads[ti]
-		for fi := range tw.Frames {
-			f := &tw.Frames[fi]
-			p := f.Prog
-			for _, off := range p.FPRoots {
-				roots = append(roots, &m.Mem[f.FP+int64(off)])
-			}
-			for _, off := range p.SPRoots {
-				roots = append(roots, &m.Mem[f.SP+int64(off)])
-			}
-			if p.RegPtrs != 0 {
-				file := &tw.regs[f.regs]
-				for mask := p.RegPtrs; mask != 0; mask &= mask - 1 {
-					roots = append(roots, tw.ref(m, file[bits.TrailingZeros16(mask)]))
-				}
-			}
-		}
-	}
+	w.roots = w.roots[:w.fixed]
 	for _, slot := range extra {
-		roots = append(roots, &m.Mem[slot])
+		w.roots = append(w.roots, &m.Mem[slot])
 	}
-	w.roots = roots
-	return roots
+	return w.roots
 }

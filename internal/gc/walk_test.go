@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/difftest"
 	"repro/internal/driver"
 	"repro/internal/gc"
 	"repro/internal/gctab"
@@ -59,8 +61,8 @@ END T.
 // walkChecker intercepts the two forced collections. The first (at
 // Mid's gc-point) snapshots the interpreter's registers and collects
 // nothing, so every value survives verbatim to the second (at Inner's
-// gc-point), where the walk is cross-checked against that ground truth
-// before delegating to the real collector.
+// gc-point), where the walk's roots are cross-checked against that
+// ground truth before delegating to the real collector.
 type walkChecker struct {
 	t       *testing.T
 	real    *gc.Collector
@@ -81,7 +83,7 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 	}
 	t := w.t
 	var walk gc.Walk
-	if err := walk.Machine(m, w.real.Dec, 0); err != nil {
+	if err := walk.Machine(m, w.real.Dec); err != nil {
 		t.Fatalf("walk: %v", err)
 	}
 	if len(walk.Threads) != 1 || walk.Threads[0].T != th {
@@ -104,13 +106,9 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 		t.Fatalf("third frame is %q, want Outer", got)
 	}
 
-	// The innermost frame's registers ARE the interpreter's: every
-	// register must resolve to the thread's live register file.
-	for r := 0; r < 16; r++ {
-		if tw.RegPtr(m, inner, r) != &th.Regs[r] {
-			t.Errorf("inner frame R%d reconstructed from memory, want &thread.Regs[%d]", r, r)
-		}
-	}
+	// Every root, register roots included, is where the frame layout
+	// says: the sweep's register homes match the nearest-callee rule.
+	perFrame := checkRoots(t, m, &walk)
 
 	// At least two nested frames spilled callee-save registers — the
 	// reconstruction under test is only exercised through such spills.
@@ -123,36 +121,57 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 	if saved < 2 {
 		t.Fatalf("only %d frames carry callee-save maps, want >= 2 (%s)", saved, &walk)
 	}
-
-	// Registers that Inner's prologue spilled must be reconstructed for
-	// Mid (a) from Inner's frame memory, not the live register file, and
-	// (b) to exactly the values the interpreter held at Mid's own
-	// gc-point one call earlier — callee-save discipline means nothing
-	// in between may change them.
 	if len(inner.Prog.Saves) == 0 {
 		t.Fatal("Inner spilled no callee-save registers; the test program no longer exercises reconstruction")
 	}
+
+	// The innermost frame's registers ARE the interpreter's.
+	innerRegs := regRoots(inner)
+	for k, root := range perFrame[1][len(perFrame[1])-len(innerRegs):] {
+		if r := innerRegs[k]; root != &th.Regs[r] {
+			t.Errorf("inner frame R%d root is not &thread.Regs[%d]", r, r)
+		}
+	}
+	// Inner's save slots hold exactly what the interpreter held at Mid's
+	// own gc-point one call earlier, and so does every register root of
+	// Mid: callee-save discipline means nothing in between may change
+	// them.
 	for _, sv := range inner.Prog.Saves {
-		addr := inner.FP + int64(sv.Off)
-		got := tw.RegPtr(m, mid, int(sv.Reg))
-		if got != &m.Mem[addr] {
-			t.Errorf("Mid's R%d not reconstructed from Inner's save slot FP%+d", sv.Reg, sv.Off)
+		if home := m.Mem[inner.FP+int64(sv.Off)]; home != w.snap[sv.Reg] {
+			t.Errorf("Inner's save slot for R%d holds %d, interpreter had %d at Mid's gc-point", sv.Reg, home, w.snap[sv.Reg])
 		}
-		if got, want := *got, w.snap[sv.Reg]; got != want {
-			t.Errorf("Mid's reconstructed R%d = %d, interpreter had %d at Mid's gc-point", sv.Reg, got, want)
+	}
+	midRegs := regRoots(mid)
+	for k, root := range perFrame[2][len(perFrame[2])-len(midRegs):] {
+		if r := midRegs[k]; *root != w.snap[r] {
+			t.Errorf("Mid's R%d root holds %d, interpreter had %d at Mid's gc-point", r, *root, w.snap[r])
 		}
+	}
+	// Some caller's pointer register lives in a callee's save slot, so
+	// the sweep's moves are exercised.
+	spilled := 0
+	for k := 1; k < len(frames); k++ {
+		regs := regRoots(&frames[k])
+		for j, root := range perFrame[k+1][len(perFrame[k+1])-len(regs):] {
+			if root != &th.Regs[regs[j]] {
+				spilled++
+			}
+		}
+	}
+	if spilled == 0 {
+		t.Errorf("no register root of any caller lives in a save slot (%s)", &walk)
 	}
 
 	// Semantic check against the interpreter heap: Mid's and Outer's
-	// reconstructed pointer roots must reach the records those frames
-	// built (first field at addr+1, after the descriptor header).
+	// roots must reach the records those frames built (first field at
+	// addr+1, after the descriptor header).
 	for _, fr := range []struct {
-		f    *gc.Frame
+		k    int
 		want int64
-	}{{mid, 200}, {outer, 300}} {
-		if !frameReaches(m, tw, fr.f, fr.want) {
-			t.Errorf("frame %s: no reconstructed root reaches a record with head %d",
-				fr.f.Prog.View.ProcName, fr.want)
+	}{{2, 200}, {3, 300}} {
+		if !reaches(m, perFrame[fr.k], fr.want) {
+			t.Errorf("frame %s: no root reaches a record with head %d",
+				frames[fr.k-1].Prog.View.ProcName, fr.want)
 		}
 	}
 
@@ -160,37 +179,114 @@ func (w *walkChecker) Collect(m *vmachine.Machine) error {
 	return w.real.Collect(m)
 }
 
-// frameReaches reports whether any live root of f (register or stack
-// slot) points at a heap record whose first field is want.
-func frameReaches(m *vmachine.Machine, tw *gc.ThreadWalk, f *gc.Frame, want int64) bool {
-	check := func(p int64) bool {
-		return p >= m.HeapLo && p+1 < m.HeapHi && m.Mem[p+1] == want
-	}
+// regRoots lists f's live pointer registers in root order.
+func regRoots(f *gc.Frame) []int {
+	var rs []int
 	for r := 0; r < 16; r++ {
-		if f.Prog.RegPtrs&(1<<uint(r)) != 0 && check(*tw.RegPtr(m, f, r)) {
-			return true
+		if f.Prog.RegPtrs&(1<<uint(r)) != 0 {
+			rs = append(rs, r)
 		}
 	}
-	for _, off := range f.Prog.FPRoots {
-		if check(m.Mem[f.FP+int64(off)]) {
-			return true
-		}
-	}
-	for _, off := range f.Prog.SPRoots {
-		if check(m.Mem[f.SP+int64(off)]) {
+	return rs
+}
+
+// reaches reports whether any of roots points at a heap record whose
+// first field is want.
+func reaches(m *vmachine.Machine, roots []*int64, want int64) bool {
+	for _, r := range roots {
+		if p := *r; p >= m.HeapLo && p+1 < m.HeapHi && m.Mem[p+1] == want {
 			return true
 		}
 	}
 	return false
 }
 
+// wantRoots lays out, from w's frames alone, the roots a walk must
+// report: group 0 the global pointer slots, then one group per frame in
+// walk order — its FP slots, its SP slots, then each live pointer
+// register at its home, the save slot of the nearest callee (innermost
+// first) that saved it, else the thread's own register.
+func wantRoots(m *vmachine.Machine, w *gc.Walk) [][]*int64 {
+	var globals []*int64
+	for _, off := range m.Prog.GlobalPtrOffs {
+		globals = append(globals, &m.Mem[m.GlobalBase+off])
+	}
+	groups := [][]*int64{globals}
+	for _, tw := range w.Threads {
+		for k := range tw.Frames {
+			f := &tw.Frames[k]
+			var g []*int64
+			for _, off := range f.Prog.FPRoots {
+				g = append(g, &m.Mem[f.FP+int64(off)])
+			}
+			for _, off := range f.Prog.SPRoots {
+				g = append(g, &m.Mem[f.SP+int64(off)])
+			}
+			for _, r := range regRoots(f) {
+				g = append(g, regHome(m, tw, k, r))
+			}
+			groups = append(groups, g)
+		}
+	}
+	return groups
+}
+
+// regHome is where register r lives while frame k of tw is suspended.
+func regHome(m *vmachine.Machine, tw gc.ThreadWalk, k, r int) *int64 {
+	for j := k - 1; j >= 0; j-- {
+		for _, sv := range tw.Frames[j].Prog.Saves {
+			if int(sv.Reg) == r {
+				return &m.Mem[tw.Frames[j].FP+int64(sv.Off)]
+			}
+		}
+	}
+	return &tw.T.Regs[r]
+}
+
+// checkRoots fails tb unless w.Roots lists exactly wantRoots, also
+// when called again after a call with an extra slot, and returns the
+// walk's roots cut into wantRoots' groups.
+func checkRoots(tb testing.TB, m *vmachine.Machine, w *gc.Walk) [][]*int64 {
+	tb.Helper()
+	groups := wantRoots(m, w)
+	var want []*int64
+	for _, g := range groups {
+		want = append(want, g...)
+	}
+	same := func(call string, got []*int64) {
+		if len(got) != len(want) {
+			tb.Fatalf("%s: walk reports %d roots, the frame layout has %d", call, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				tb.Fatalf("%s: root %d is not the slot the frame layout names", call, k)
+			}
+		}
+	}
+	got := w.Roots(m, nil)
+	same("Roots", got)
+	// A second call replaces the first one's extra slots and leaves the
+	// walk's own roots as they were.
+	slot := m.GlobalBase
+	if extra := w.Roots(m, []int64{slot}); len(extra) != len(want)+1 || extra[len(want)] != &m.Mem[slot] {
+		tb.Fatalf("Roots with one extra slot returned %d roots, want %d ending in the slot", len(extra), len(want)+1)
+	}
+	same("Roots after a call with an extra slot", w.Roots(m, nil))
+	cut := make([][]*int64, len(groups))
+	for gi, g := range groups {
+		cut[gi], got = got[:len(g)], got[len(g):]
+	}
+	return cut
+}
+
 // TestNestedCalleeSaveReconstruction walks a three-deep call chain at
-// the innermost gc-point and checks the reconstructed per-frame
-// register files against the interpreter: identity for the innermost
-// frame, spill-slot aliasing and value equality for its caller, and
-// semantic reachability for both outer frames. The run then finishes
-// under the real collector, so the reconstructed addresses also have to
-// survive being written through during compaction.
+// the innermost gc-point and checks every root the walk reports against
+// the frame layout and the interpreter: identity for the innermost
+// frame's registers, save-slot homes and value equality for its
+// caller's, and semantic reachability for both outer frames. The run
+// then finishes under the real collector, so the reconstructed
+// addresses also have to survive being written through during
+// compaction.
 func TestNestedCalleeSaveReconstruction(t *testing.T) {
 	opts := driver.NewOptions()
 	c, err := driver.Compile("t.m3", nestedSrc, opts)
@@ -239,7 +335,7 @@ func (b *chainBreaker) Collect(m *vmachine.Machine) error {
 		return nil
 	}
 	var walk gc.Walk
-	if err := walk.Machine(m, b.dec, 1); err != nil {
+	if err := walk.Machine(m, b.dec); err != nil {
 		b.t.Fatalf("walk of the intact stack: %v", err)
 	}
 	frames := walk.Threads[0].Frames
@@ -310,4 +406,191 @@ func TestCorruptFrameChain(t *testing.T) {
 			})
 		}
 	}
+}
+
+// BenchmarkWalkPhase times one walk of DeepWalk's 220-frame stack at
+// its gc-point, through the memoizing decoder collectors use by default
+// (filled by one walk off the clock). After the last iteration every
+// root the walk reports is checked against the frame layout, so a wrong
+// walk fails here rather than only running fast.
+func BenchmarkWalkPhase(b *testing.B) {
+	const depth = 220
+	c, err := driver.Compile("deepwalk.m3", bench.DeepWalkSource(depth, 1), driver.NewOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := vmachine.Config{HeapWords: 1 << 16, StackWords: depth*32 + 4096, MaxThreads: 8, Quantum: 1000, Out: io.Discard}
+	m, col, err := c.NewMachine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	walked := false
+	m.Collector = collectFunc(func(m *vmachine.Machine) error {
+		if walked {
+			return col.Collect(m)
+		}
+		walked = true
+		var w gc.Walk
+		if err := w.Machine(m, col.Dec); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := w.Machine(m, col.Dec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if n := w.NumFrames(); n < depth {
+			b.Fatalf("walked %d frames, want at least %d", n, depth)
+		}
+		// Every Walk frame keeps its list live across the call.
+		if n := len(w.Roots(m, nil)); n < depth {
+			b.Fatalf("walk reports %d roots, want at least one per Walk frame (%d)", n, depth)
+		}
+		checkRoots(b, m, &w)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w.NumFrames()), "ns/frame")
+		return col.Collect(m)
+	})
+	if err := m.Run(0); err != nil {
+		b.Fatal(err)
+	}
+	if !walked {
+		b.Fatal("DeepWalk never reached its gc-point")
+	}
+}
+
+// derivChecker checks, at every collection, the walk's derived-value
+// phases against the frame layout before delegating to the real
+// collector: AdjustDerived must leave in each target exactly what the
+// §3 rule computes from the slots the tables name (resolved with
+// regHome), applied in the same order, and RederiveAll, with nothing
+// moved, must restore every word.
+type derivChecker struct {
+	t       *testing.T
+	real    *gc.Collector
+	derivs  int
+	inRegs  int // slots (target, path variable or base) in registers
+	pauses  int
+	walk    gc.Walk
+	touched map[*int64]int64
+}
+
+func (d *derivChecker) Collect(m *vmachine.Machine) error {
+	t := d.t
+	if err := d.walk.Machine(m, d.real.Dec); err != nil {
+		return err
+	}
+	// The oracle: apply phase 1 to a shadow of the words it writes.
+	d.touched = map[*int64]int64{}
+	read := func(p *int64) int64 {
+		if v, ok := d.touched[p]; ok {
+			return v
+		}
+		return *p
+	}
+	before := map[*int64]int64{}
+	n := 0
+	for _, tw := range d.walk.Threads {
+		for k := range tw.Frames {
+			f := &tw.Frames[k]
+			at := func(s gctab.Slot) *int64 {
+				if r, ok := s.Reg(); ok {
+					d.inRegs++
+					return regHome(m, tw, k, r)
+				}
+				off, fromSP := s.Stack()
+				if fromSP {
+					return &m.Mem[f.SP+off]
+				}
+				return &m.Mem[f.FP+off]
+			}
+			for di := range f.Prog.Derivs {
+				op := &f.Prog.Derivs[di]
+				v := 0
+				if op.Sel != gctab.NoSlot {
+					v = int(read(at(op.Sel)))
+				}
+				target := at(op.Target)
+				e := read(target)
+				for _, b := range f.Prog.Variant(op, v) {
+					e -= int64(b.Sign) * read(at(b.Slot))
+				}
+				if _, ok := before[target]; !ok {
+					before[target] = *target
+				}
+				d.touched[target] = e
+				n++
+			}
+		}
+	}
+	if err := d.walk.AdjustDerived(); err != nil {
+		return err
+	}
+	if got := d.walk.NumDerivs(); got != n {
+		t.Fatalf("adjusted %d derived values, the tables list %d", got, n)
+	}
+	for p, want := range d.touched {
+		if *p != want {
+			t.Fatalf("pause %d: adjusted value %d, the §3 rule over the frame layout gives %d", d.pauses, *p, want)
+		}
+	}
+	d.walk.RederiveAll()
+	for p, want := range before {
+		if *p != want {
+			t.Fatalf("pause %d: re-derived value %d, held %d before the walk (nothing moved)", d.pauses, *p, want)
+		}
+	}
+	d.derivs += n
+	d.pauses++
+	return d.real.Collect(m)
+}
+
+// TestDerivedValuesResolveAgainstFrameLayout runs the derived-pointer
+// kernels (SUBARRAY windows, WITH aliases, interior pointers) and
+// generated program 3 (whose derivations name callee-save registers)
+// with the walk's adjust and re-derive checked at every collection
+// against the frame layout, and requires each program's output from a
+// run without the checks.
+func TestDerivedValuesResolveAgainstFrameLayout(t *testing.T) {
+	total, inRegs := 0, 0
+	programs := append(difftest.Kernels(), difftest.Kernel{Name: "generated-3", Source: difftest.Generate(3)})
+	for _, k := range programs {
+		t.Run(k.Name, func(t *testing.T) {
+			c, err := driver.Compile(k.Name+".m3", k.Source, driver.NewOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(check bool) (string, *derivChecker) {
+				cfg := vmachine.DefaultConfig()
+				cfg.HeapWords = 1 << 12
+				var sb strings.Builder
+				cfg.Out = &sb
+				m, col, err := c.NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				col.Debug = true
+				d := &derivChecker{t: t, real: col}
+				if check {
+					m.Collector = d
+				}
+				if err := m.Run(0); err != nil {
+					t.Fatal(err)
+				}
+				return sb.String(), d
+			}
+			ref, _ := run(false)
+			out, d := run(true)
+			if out != ref {
+				t.Errorf("output %q, want %q", out, ref)
+			}
+			total += d.derivs
+			inRegs += d.inRegs
+		})
+	}
+	if total == 0 || inRegs == 0 {
+		t.Fatalf("checked %d derived values (%d of their slots in registers), want some of each", total, inRegs)
+	}
+	t.Logf("%d derived values checked, %d of their slots in registers", total, inRegs)
 }

@@ -18,14 +18,12 @@ import (
 // not a gc-point, an ErrTruncated/ErrBadDescriptor-wrapping error for a
 // damaged stream. Program is Decode followed by resolving the view into
 // the frame program the collectors execute, with the same contract.
-// Implementations must be safe for concurrent use; Fork hands out a
-// per-worker handle for parallel stack walkers (forks share the
-// underlying stream and any cache).
+// Implementations must be safe for concurrent use: the collectors of
+// many machines may walk through one shared decoder.
 type TableDecoder interface {
 	Decode(pc int) (*PointView, error)
 	Program(pc int) (*FrameProgram, error)
 	SetTracer(t *telemetry.Tracer)
-	Fork() TableDecoder
 }
 
 // CachedDecoder memoizes fully resolved PointViews, and the frame
@@ -33,23 +31,25 @@ type TableDecoder interface {
 // stream. The first lookup touching a procedure replays that
 // procedure's segment exactly once — resolving every point in stream
 // order, which is how Previous-mode tables must be read anyway — and
-// later lookups index a dense pc − Entry table and touch no stream
-// bytes. This amortizes the paper's per-collection decode cost without
-// changing any result: cached and uncached lookups return equal views
-// and equal errors (see VerifyCacheTransparency).
+// publishes each resolved point in a table indexed by pc, so a later
+// lookup of a gc-point is one bounded index: no procedure search, no
+// lock, no stream bytes. This amortizes the paper's per-collection
+// decode cost without changing any result: cached and uncached lookups
+// return equal views and equal errors (see VerifyCacheTransparency).
 //
-// A CachedDecoder is safe for concurrent use; each procedure's replay
-// runs once under its mutex and publishes an immutable table (callers
-// must not mutate the views — the same discipline the plain Decoder's
-// callers already follow within one lookup).
+// A CachedDecoder is safe for concurrent use; replays run one at a
+// time under fill and publish immutable tables (callers must not
+// mutate the views — the same discipline the plain Decoder's callers
+// already follow within one lookup).
 type CachedDecoder struct {
 	Dec   *Decoder
-	procs []cachedProc
-	// last is the procedure the previous lookup landed in: a stack walk
-	// asks about the same few procedures frame after frame, so most
-	// lookups skip the index search. Any value is correct — a stale one
-	// only costs the search.
-	last atomic.Int32
+	procs []atomic.Pointer[procTable] // nil until the procedure is replayed
+	fill  sync.Mutex                  // serialises replays and byPC's allocation
+	// byPC[pc] is the gc-point at pc once its procedure is replayed. It
+	// is allocated at the first replay, so a machine that never collects
+	// decodes and allocates nothing. A nil entry (not a gc-point, not yet
+	// replayed, damaged, or past the table) takes the procedure search.
+	byPC atomic.Pointer[pcTable]
 
 	// Telemetry (nil when not attached). The decode.* handles mirror
 	// the plain Decoder's so cache-on/off runs are compared by reading
@@ -64,11 +64,13 @@ type CachedDecoder struct {
 	bytesSaved *telemetry.Counter
 }
 
-// cachedProc is one procedure's memoized table set, built at most once.
-type cachedProc struct {
-	fill  sync.Mutex // serialises the one-time replay
-	table atomic.Pointer[procTable]
-}
+// pcTable maps a pc to its memoized gc-point.
+type pcTable []atomic.Pointer[cachedPoint]
+
+// maxPCTable caps byPC's length in pcs (8 bytes each). The index is read
+// from object files unchecked, so a damaged End must not size a huge
+// allocation; gc-points past the cap are served by the procedure search.
+const maxPCTable = 1 << 22
 
 // procTable is what one replay of a procedure's segment resolved.
 type procTable struct {
@@ -103,7 +105,7 @@ type cachedPoint struct {
 
 // NewCachedDecoder returns a caching decoder over e.
 func NewCachedDecoder(e *Encoded) *CachedDecoder {
-	return &CachedDecoder{Dec: NewDecoder(e), procs: make([]cachedProc, len(e.Index))}
+	return &CachedDecoder{Dec: NewDecoder(e), procs: make([]atomic.Pointer[procTable], len(e.Index))}
 }
 
 // SetTracer attaches telemetry. Every lookup feeds the plain decoder's
@@ -126,11 +128,6 @@ func (c *CachedDecoder) SetTracer(t *telemetry.Tracer) {
 	c.cacheMiss = t.Counter(s.CacheMissesCounter())
 	c.bytesSaved = t.Counter(s.CacheBytesSavedCounter())
 }
-
-// Fork returns a handle for a parallel walker worker. The cache is
-// shared — concurrent replays coordinate through the procedure's mutex
-// — so forks are the receiver itself.
-func (c *CachedDecoder) Fork() TableDecoder { return c }
 
 // Lookup has the Decoder.Lookup contract (membership probes only; see
 // that method's caveats).
@@ -165,7 +162,9 @@ func (c *CachedDecoder) Program(pc int) (*FrameProgram, error) {
 }
 
 // point resolves pc to its memoized gc-point: nil with a nil error for a
-// pc that is not one, nil with the plain decoder's error on damage.
+// pc that is not one, nil with the plain decoder's error on damage. A
+// replayed gc-point is one index into byPC; everything else searches
+// for the owning procedure.
 //
 // With telemetry attached, the one lookup that replays a procedure's
 // segment is timed and emits an EvDecode like a plain decode would; a
@@ -174,16 +173,18 @@ func (c *CachedDecoder) Program(pc int) (*FrameProgram, error) {
 // time it, and one event per frame per collection would push everything
 // else out of the ring.
 func (c *CachedDecoder) point(pc int) (*cachedPoint, error) {
-	idx := c.Dec.Enc.Index
-	i := int(c.last.Load())
-	if i >= len(idx) || pc < idx[i].Entry || pc >= idx[i].End {
-		if i = c.Dec.Enc.procOf(pc); i < 0 {
-			c.count(nil, 0)
-			return nil, nil
+	if t := c.byPC.Load(); t != nil && uint(pc) < uint(len(*t)) {
+		if pt := (*t)[pc].Load(); pt != nil {
+			c.count(pt, pt.cost)
+			return pt, nil
 		}
-		c.last.Store(int32(i))
 	}
-	p := c.procs[i].table.Load()
+	i := c.Dec.Enc.procOf(pc)
+	if i < 0 {
+		c.count(nil, 0)
+		return nil, nil
+	}
+	p := c.procs[i].Load()
 	if p == nil {
 		var start int64
 		if c.tel != nil {
@@ -261,15 +262,41 @@ func (c *CachedDecoder) pointErr(i, pc int, cause error) error {
 // fillProc returns procedure i's table, replaying its segment if no
 // other goroutine has; built reports whether this call did the replay.
 func (c *CachedDecoder) fillProc(i int) (p *procTable, built bool) {
-	cp := &c.procs[i]
-	cp.fill.Lock()
-	defer cp.fill.Unlock()
-	if p = cp.table.Load(); p != nil {
+	c.fill.Lock()
+	defer c.fill.Unlock()
+	if p = c.procs[i].Load(); p != nil {
 		return p, false
 	}
 	p = c.buildProc(i)
-	cp.table.Store(p)
+	c.procs[i].Store(p)
+	c.publish(i, p)
 	return p, true
+}
+
+// publish enters procedure i's resolved gc-points into byPC, allocating
+// the table at the first replay. A pc the procedure search would send to
+// another procedure (overlapping ranges in a damaged index) stays out,
+// so an index hit returns what the search would. Called under fill.
+func (c *CachedDecoder) publish(i int, p *procTable) {
+	if len(p.points) == 0 {
+		return
+	}
+	t := c.byPC.Load()
+	if t == nil {
+		n := 0
+		for _, pi := range c.Dec.Enc.Index {
+			n = max(n, pi.End)
+		}
+		t = new(pcTable)
+		*t = make(pcTable, min(n, maxPCTable))
+		c.byPC.Store(t)
+	}
+	entry := c.Dec.Enc.Index[i].Entry
+	for rel, at := range p.index {
+		if pc := entry + rel; at >= 0 && uint(pc) < uint(len(*t)) && c.Dec.Enc.procOf(pc) == i {
+			(*t)[pc].Store(&p.points[at])
+		}
+	}
 }
 
 // VerifyCacheTransparency cross-checks a fresh CachedDecoder against

@@ -56,6 +56,42 @@ func TestCachedDecoderMatchesPlain(t *testing.T) {
 	}
 }
 
+// TestCachedDecoderDamagedIndex damages the procedure index, which
+// object files carry unchecked, three ways: procedure 0's range runs
+// into procedure 1's, the last procedure's end lies far past any code,
+// and the first procedure's entry lies below pc 0.
+// The cached decoder must still answer as the plain one at every probe
+// pc, whichever procedure it replays first: the overlap belongs to
+// procedure 0, and the huge end must not size the pc table.
+func TestCachedDecoderDamagedIndex(t *testing.T) {
+	o := truncFixture()
+	damages := []struct {
+		name   string
+		damage func(e *Encoded)
+	}{
+		{"overlap", func(e *Encoded) { e.Index[0].End = o.Procs[1].Points[1].PC + 3 }},
+		{"huge end", func(e *Encoded) { e.Index[2].End = 1 << 40 }},
+		{"negative entry", func(e *Encoded) { e.Index[0].Entry = -1000 }},
+	}
+	for _, d := range damages {
+		enc := Encode(o, DeltaPP)
+		d.damage(enc)
+		plain := NewDecoder(enc)
+		cached := NewCachedDecoder(enc)
+		// Replay procedure 1 first, through a pc past the overlap.
+		pcs := append([]int{o.Procs[1].Points[3].PC}, probePCs(o)...)
+		for pass := 0; pass < 2; pass++ {
+			for _, pc := range pcs {
+				pv, perr := plain.Decode(pc)
+				cv, cerr := cached.Decode(pc)
+				if errString(perr) != errString(cerr) || !reflect.DeepEqual(pv, cv) {
+					t.Fatalf("%s pass %d pc %d: plain %v (error %v), cached %v (error %v)", d.name, pass, pc, pv, perr, cv, cerr)
+				}
+			}
+		}
+	}
+}
+
 // TestCachedDecoderTruncated cuts the stream at every length under
 // every scheme and checks cached error/view behavior matches the plain
 // decoder exactly: points decodable before the damage still decode, the
@@ -157,9 +193,10 @@ func TestCorruptProcOffset(t *testing.T) {
 }
 
 // TestCachedDecoderConcurrent hammers one shared CachedDecoder from
-// many goroutines (the parallel stack walker's access pattern) while
-// verifying every result against a plain decoder. Run under -race this
-// is the satellite's data-race regression test.
+// many goroutines (the access pattern of server workers whose machines
+// share one decoder) while verifying every result against a plain
+// decoder. Run under -race it checks the replay lock and the pc table
+// the replays publish into.
 func TestCachedDecoderConcurrent(t *testing.T) {
 	o := truncFixture()
 	for _, s := range []Scheme{DeltaPP, FullPlain} {
@@ -185,12 +222,11 @@ func TestCachedDecoderConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				dec := cached.Fork()
 				for round := 0; round < 50; round++ {
 					// Stagger starting points so builds race from the start.
 					for k := range pcs {
 						pc := pcs[(k+g*3+round)%len(pcs)]
-						v, err := dec.Decode(pc)
+						v, err := cached.Decode(pc)
 						if err != nil {
 							errc <- fmt.Errorf("goroutine %d pc %d: %v", g, pc, err)
 							return

@@ -69,12 +69,6 @@ func (d *Decoder) SetTracer(t *telemetry.Tracer) {
 	d.decodeNs = t.Histogram(s.DecodeNsHistogram())
 }
 
-// Fork returns an independent decoder handle over the same encoded
-// stream, sharing the resolved telemetry counters. The plain decoder is
-// already concurrency-safe, so Fork exists to satisfy TableDecoder;
-// parallel stack walkers call it once per worker.
-func (d *Decoder) Fork() TableDecoder { return d }
-
 // Telemetry metric names for a scheme's decode path. Both Decoder and
 // CachedDecoder feed these, so cache-on and cache-off runs are compared
 // by reading the same counters.

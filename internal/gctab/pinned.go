@@ -27,6 +27,3 @@ func (p pinnedDecoder) Program(pc int) (*FrameProgram, error) { return p.dec.Pro
 
 // SetTracer is a no-op: telemetry is pinned at the shared decoder.
 func (p pinnedDecoder) SetTracer(*telemetry.Tracer) {}
-
-// Fork forwards to the shared decoder's Fork, keeping the pin.
-func (p pinnedDecoder) Fork() TableDecoder { return pinnedDecoder{dec: p.dec.Fork()} }

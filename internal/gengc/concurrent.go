@@ -60,7 +60,7 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error { return c.Finish(m, 
 func (c *Collector) CycleEnv() gc.CycleEnv {
 	h := c.Heap
 	return gc.CycleEnv{
-		Walk: &c.walk, Dec: c.Dec, WalkWorkers: c.WalkWorkers, TraceWorkers: c.TraceWorkers,
+		Walk: &c.walk, Dec: c.Dec, TraceWorkers: c.TraceWorkers,
 		Space: c.majorCopySpace(h.Hi), Extra: c.remsetSlots(),
 		Heap: h, Kind: telemetry.GCMajor, Count: c.Minor + c.Major, Probes: &c.probe,
 	}

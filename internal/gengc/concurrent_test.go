@@ -343,7 +343,7 @@ func TestConcurrentMajorFinalPauseCatchesUnmarkedRoot(t *testing.T) {
 func hideInRoot(t *testing.T, m *vmachine.Machine, dec gctab.TableDecoder, desc int) {
 	t.Helper()
 	var w gc.Walk
-	if err := w.Machine(m, dec, 1); err != nil {
+	if err := w.Machine(m, dec); err != nil {
 		t.Fatal(err)
 	}
 	for _, slot := range w.Roots(m, nil) {

@@ -85,7 +85,7 @@ type genRecorder struct {
 }
 
 func (r *genRecorder) Collect(m *vmachine.Machine) error {
-	if err := r.walk.Machine(m, r.real.Dec, r.real.WalkWorkers); err != nil {
+	if err := r.walk.Machine(m, r.real.Dec); err != nil {
 		return err
 	}
 	r.frames = append(r.frames, r.walk.String())

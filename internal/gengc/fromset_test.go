@@ -30,7 +30,7 @@ func heapValues(mem []int64, dt *types.DescTable, lo, hi int64, out []int64) []i
 func genValues(t *testing.T, m *vmachine.Machine, col *gengc.Collector, out []int64) []int64 {
 	t.Helper()
 	var w gc.Walk
-	if err := w.Machine(m, col.Dec, 1); err != nil {
+	if err := w.Machine(m, col.Dec); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range w.Roots(m, nil) {

@@ -156,10 +156,6 @@ type Collector struct {
 	Dec   gctab.TableDecoder
 	Debug bool
 
-	// WalkWorkers bounds the stack-walk worker pool (0 = the gc
-	// package's default, 1 = serial).
-	WalkWorkers int
-
 	// TraceWorkers bounds the parallel trace-copy pool used by both
 	// minor (promotion) and major (old-space copy) collections (0 = the
 	// gc package's default, 1 = serial). Placement is canonical, so the
@@ -295,7 +291,7 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 			h.LiveBytes(), h.AllocatedBytes(), c.Minor+c.Major)
 	}
 
-	walkTime, err := c.WalkStacks(m, &c.walk, c.Dec, c.WalkWorkers, c.TraceWorkers, true)
+	walkTime, err := c.WalkStacks(m, &c.walk, c.Dec, true)
 	if err != nil {
 		return err
 	}
@@ -318,7 +314,7 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 	c.CopyTime += st.Copy
 	c.FixupTime += st.Fixup
 
-	c.walk.RederiveAll(m, c.TraceWorkers)
+	c.walk.RederiveAll()
 
 	if p.Tel != nil {
 		nFrames, nDeriv := int64(c.walk.NumFrames()), int64(c.walk.NumDerivs())

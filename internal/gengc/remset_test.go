@@ -11,7 +11,7 @@ import (
 
 // runGenMachine is runGen's sibling for tests that need the machine
 // and collector themselves, not just the summary statistics.
-func runGenMachine(t *testing.T, src string, heapWords int64, workers int) (string, *vmachine.Machine, *gengc.Collector) {
+func runGenMachine(t *testing.T, src string, heapWords int64, traceWorkers int) (string, *vmachine.Machine, *gengc.Collector) {
 	t.Helper()
 	opts := driver.NewOptions()
 	opts.Generational = true
@@ -28,7 +28,7 @@ func runGenMachine(t *testing.T, src string, heapWords int64, workers int) (stri
 		t.Fatal(err)
 	}
 	col.Debug = true
-	col.WalkWorkers = workers
+	col.TraceWorkers = traceWorkers
 	if err := m.Run(100_000_000); err != nil {
 		t.Fatalf("run: %v (out %q)", err, sb.String())
 	}
@@ -108,7 +108,7 @@ END T.
 // TestRemsetIterationDeterminism: with several remembered slots live at
 // each minor collection, iteration order decides which slot promotes a
 // young object first — and therefore the promoted heap layout. Two
-// identical runs (with the parallel stack walker on, so the race shard
+// identical runs (with an 8-wide trace-copy pool, so the race shard
 // exercises this under -race) must produce identical output, identical
 // statistics, and bit-identical final heaps.
 func TestRemsetIterationDeterminism(t *testing.T) {

@@ -20,7 +20,7 @@ func deepGen(t *testing.T, depth int, concurrent bool, probe func(*gengc.Collect
 	opts := driver.NewOptions()
 	opts.Generational = true
 	opts.ConcurrentMark = concurrent
-	opts.WalkWorkers, opts.TraceWorkers = 1, 1
+	opts.TraceWorkers = 1
 	c, err := driver.Compile("deepwalk.m3", bench.DeepWalkSource(depth, 2), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestCorruptFrameChain(t *testing.T) {
 	m := deepGen(t, 8, false, func(col *gengc.Collector) vmachine.Collector {
 		return collectorFunc(func(m *vmachine.Machine) error {
 			var walk gc.Walk
-			if err := walk.Machine(m, col.Dec, 1); err != nil {
+			if err := walk.Machine(m, col.Dec); err != nil {
 				t.Fatalf("walk of the intact stack: %v", err)
 			}
 			frames := walk.Threads[0].Frames
